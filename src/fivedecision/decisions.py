@@ -156,17 +156,35 @@ def decision_regions(null: NullDistribution, alpha: float) -> DecisionRegions:
     return DecisionRegions(alpha=alpha, boundaries=boundaries, null=null)
 
 
-def _index_from_boundaries(t_stat, q1, q2, q3, q4) -> int:
+def _index_from_boundaries(t_stat, q1, q2, q3, q4):
     # Encodes the open/closed pattern: region 2 is [q1, q2), region 3
-    # is [q2, q3], region 4 is (q3, q4].
+    # is [q2, q3], region 4 is (q3, q4].  Works elementwise on numpy
+    # arrays as well as on floats.
     return 1 + (t_stat >= q1) + (t_stat >= q2) + (t_stat > q3) + (t_stat > q4)
+
+
+# Five-decision index -> reported index under each procedure (keyed
+# by procedure name; position 0 is unused).  The classical procedures
+# are merges of the same partition.
+_MERGE = {
+    "five-decision": (0, 1, 2, 3, 4, 5),
+    "kaiser": (0, 1, 3, 3, 3, 5),
+    "jones-tukey": (0, 2, 2, 3, 4, 4),
+}
+
+
+def _merged_decision(
+    procedure: str, t_stat: float, null: NullDistribution, alpha: float
+) -> Decision:
+    t_stat = _check_t(t_stat)
+    q1, q2, q3, q4 = decision_regions(null, alpha).boundaries
+    index = _index_from_boundaries(t_stat, q1, q2, q3, q4)
+    return Decision.from_index(_MERGE[procedure][index])
 
 
 def five_decision(t_stat: float, null: NullDistribution, alpha: float) -> Decision:
     """Classify a statistic into one of the five decisions."""
-    t_stat = _check_t(t_stat)
-    q1, q2, q3, q4 = decision_regions(null, alpha).boundaries
-    return Decision.from_index(_index_from_boundaries(t_stat, q1, q2, q3, q4))
+    return _merged_decision("five-decision", t_stat, null, alpha)
 
 
 def five_decision_via_three_tests(
@@ -228,13 +246,7 @@ def kaiser_decision(t_stat: float, null: NullDistribution, alpha: float) -> Deci
     """Directional two-sided verdict: both one-sided tests at level
     alpha/2, so only decisions 1, 3, and 5 can occur.  Equals the
     five-decision verdict with regions {2, 3, 4} merged into 3."""
-    t_stat = _check_t(t_stat)
-    q1, _, _, q4 = decision_regions(null, alpha).boundaries
-    if t_stat < q1:
-        return Decision.from_index(1)
-    if t_stat > q4:
-        return Decision.from_index(5)
-    return Decision.from_index(3)
+    return _merged_decision("kaiser", t_stat, null, alpha)
 
 
 def jones_tukey_decision(
@@ -245,10 +257,4 @@ def jones_tukey_decision(
     occur.  Equals the five-decision verdict with {1, 2} merged into 2
     and {4, 5} merged into 4; under the impossibility premise a
     decision-4 rejection of H4 carries the H5 rejection with it."""
-    t_stat = _check_t(t_stat)
-    _, q2, q3, _ = decision_regions(null, alpha).boundaries
-    if t_stat < q2:
-        return Decision.from_index(2)
-    if t_stat > q3:
-        return Decision.from_index(4)
-    return Decision.from_index(3)
+    return _merged_decision("jones-tukey", t_stat, null, alpha)

@@ -1,18 +1,28 @@
 """Seeded Monte Carlo harness for two-group normal experiments.
 
-Each trial draws two groups of n normal variates (the first group
-shifted by the standardized mean difference, sigma fixed at 1), runs
-the pooled t-test, classifies the statistic with the configured
-procedure, and tallies the decision.  Frequencies estimate the
-per-decision probabilities; the wrong-rejection rate scores decisions
-against the true side of the effect.
+Each trial stands for two groups of n normal observations (the first
+group shifted by the standardized mean difference, sigma fixed at 1)
+and their pooled t statistic, classified with the configured procedure
+and tallied.  The observations themselves are never drawn: with sigma
+= 1 the pooled t is a function of two independent sufficient
+statistics,
 
-Reproducibility contract: every trial owns a fixed, block-aligned slice
-of a Philox counter stream derived from (seed, trial index), and
-normals come from a Box-Muller transform of those uniforms.  Trial
-data is therefore a pure function of seed and trial index, and integer
-tallies merge associatively, so any chunking or worker count yields
-identical reports.
+    t = (effect * sqrt(n/2) + Z) / sqrt(V / (2n - 2)),
+    Z ~ N(0, 1),  V ~ chi^2(2n - 2) = 2 * Gamma(n - 1),
+
+which is its exact sampling distribution, so a trial costs O(1) for
+any n.  Frequencies estimate the per-decision probabilities; the
+wrong-rejection rate scores decisions against the true side of the
+effect.
+
+Reproducibility contract: trials are grouped in fixed blocks of
+_CHUNK_TRIALS, and block b draws all its Z values, then all its V
+values, from its own Philox stream (key = seed, counter word 2 = b).
+A trial's (Z, V) is therefore a pure function of seed and trial index,
+and integer tallies merge associatively, so any chunking or worker
+count yields identical reports.  The draws come from numpy's normal
+and gamma samplers, so a numpy release that changes either sampler
+changes the stream.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .decisions import decision_regions
+from .decisions import _MERGE, _index_from_boundaries, decision_regions
 from .distributions import student_t
 
 __all__ = [
@@ -37,17 +47,13 @@ __all__ = [
     "wrong_rejection_grid",
 ]
 
-# Trials processed per batch; bounds memory at chunk * 2n doubles.
+# Trials per random-stream block and per task; part of the stream
+# definition, so changing it changes every report.
 _CHUNK_TRIALS = 16384
-# Refuse configurations that would stream more uniforms than this.
+# Refuse configurations that stand for more observations (2n per
+# trial) than this.  The kernel draws two numbers per trial whatever
+# n is, so this caps the modelled data size, not the draws.
 _MAX_DRAWS = 1 << 40
-
-# Five-decision index -> reported index under each procedure.
-_MERGE = {
-    "five-decision": np.array([0, 1, 2, 3, 4, 5]),
-    "kaiser": np.array([0, 1, 3, 3, 3, 5]),
-    "jones-tukey": np.array([0, 2, 2, 3, 4, 4]),
-}
 
 
 class Procedure(enum.Enum):
@@ -57,11 +63,7 @@ class Procedure(enum.Enum):
 
     @property
     def index_set(self) -> tuple[int, ...]:
-        if self is Procedure.FIVE_DECISION:
-            return (1, 2, 3, 4, 5)
-        if self is Procedure.KAISER:
-            return (1, 3, 5)
-        return (2, 3, 4)
+        return tuple(sorted(set(_MERGE[self.value][1:])))
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ class SimulationReport:
     def to_dict(self) -> dict:
         """JSON-ready form; keys are stable and values full precision."""
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "procedure": self.config.procedure.value,
             "n_per_group": self.config.n_per_group,
             "mean_diff_over_sigma": self.config.mean_diff_over_sigma,
@@ -118,48 +120,37 @@ class SimulationReport:
         }
 
 
-def _trial_uniforms(seed: int, start: int, count: int, n_per_group: int) -> np.ndarray:
-    """Uniforms for trials [start, start+count), shape (count, 2n).
+def _trial_draws(
+    seed: int, start: int, count: int, n_per_group: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sufficient statistics (Z, V) of trials [start, start+count).
 
-    Philox advance() moves the counter in blocks of four 64-bit
-    outputs, so each trial is padded to whole blocks: trial i owns
-    blocks [i*bpt, (i+1)*bpt) with bpt = ceil(2n/4).  Slicing off the
-    padding keeps every trial's draws independent of chunking.
+    Block b holds trials [b*B, (b+1)*B) with B = _CHUNK_TRIALS; its
+    Philox counter starts at b in word 2, so blocks never share
+    counter values.  A block's draws depend only on (seed, b), and any
+    span of trials is sliced out of the blocks it touches.
     """
-    need = 2 * n_per_group
-    bpt = (need + 3) // 4
-    bit_gen = np.random.Philox(key=seed)
-    bit_gen.advance(start * bpt)
-    u = np.random.Generator(bit_gen).random(count * bpt * 4)
-    return u.reshape(count, bpt * 4)[:, :need]
+    zs, vs = [], []
+    end = start + count
+    for block in range(start // _CHUNK_TRIALS, (end - 1) // _CHUNK_TRIALS + 1):
+        first = block * _CHUNK_TRIALS
+        lo, hi = max(start, first) - first, min(end, first + _CHUNK_TRIALS) - first
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
+        # All B normals come first, so the gammas start at the same
+        # stream position however few of them are needed.
+        zs.append(gen.standard_normal(_CHUNK_TRIALS)[lo:hi])
+        vs.append(2.0 * gen.standard_gamma(n_per_group - 1, hi)[lo:])
+    return np.concatenate(zs), np.concatenate(vs)
 
 
 def _simulate_chunk(args: tuple) -> np.ndarray:
     """Decision tallies (length-6 array indexed by decision) for one
     chunk of trials.  Top level so process pools can pickle it."""
     seed, start, count, n, effect, boundaries, procedure_value = args
-    u = _trial_uniforms(seed, start, count, n)
-    u1 = u[:, 0::2]
-    u2 = u[:, 1::2]
-    radius = np.sqrt(-2.0 * np.log1p(-u1))  # log1p keeps u=0 finite
-    angle = (2.0 * np.pi) * u2
-    normals = np.empty_like(u)
-    normals[:, 0::2] = radius * np.cos(angle)
-    normals[:, 1::2] = radius * np.sin(angle)
-
-    group_a = normals[:, :n] + effect
-    group_b = normals[:, n:]
-    mean_a = group_a.mean(axis=1)
-    mean_b = group_b.mean(axis=1)
-    var_a = np.square(group_a - mean_a[:, None]).sum(axis=1) / (n - 1)
-    var_b = np.square(group_b - mean_b[:, None]).sum(axis=1) / (n - 1)
-    se = np.sqrt((var_a + var_b) / n)  # pooled s * sqrt(2/n)
-    t = (mean_a - mean_b) / se
-
-    q1, q2, q3, q4 = boundaries
-    idx = 1 + (t >= q1) + (t >= q2) + (t > q3) + (t > q4)
-    merged = _MERGE[procedure_value][idx]
-    return np.bincount(merged, minlength=6)
+    z, v = _trial_draws(seed, start, count, n)
+    t = (effect * math.sqrt(n / 2.0) + z) / np.sqrt(v / (2 * n - 2))
+    idx = _index_from_boundaries(t, *boundaries)
+    return np.bincount(np.take(_MERGE[procedure_value], idx), minlength=6)
 
 
 def _wrong_indices(effect: float, procedure: Procedure) -> tuple[int, ...]:

@@ -273,7 +273,7 @@ class TestSimulate:
         assert code == 0
         payload = json.loads(out)
         assert sorted(payload["freq"].values()) == [0.0, 0.0, 0.0, 0.0, 1.0]
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
 
     def test_worker_count_invisible_in_json(self, capsys):
         argv = [

@@ -1,5 +1,6 @@
 """Monte Carlo harness checks: substream determinism, agreement with
-the scalar pipeline, merge structure, and error-rate bands."""
+the scalar pipeline, exactness against the noncentral t, merge
+structure, and error-rate bands."""
 
 import dataclasses
 import json
@@ -7,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from fivedecision.decisions import five_decision
 from fivedecision.distributions import student_t
@@ -14,11 +16,11 @@ from fivedecision.simulation import (
     Procedure,
     SimulationConfig,
     SimulationReport,
-    _trial_uniforms,
+    _CHUNK_TRIALS,
+    _trial_draws,
     run_simulation,
     wrong_rejection_grid,
 )
-from fivedecision.stattests import two_sample_t_raw
 
 BASE = SimulationConfig(
     n_per_group=30,
@@ -34,59 +36,105 @@ def _band(rate: float, trials: int) -> float:
     return 4.0 * math.sqrt(rate * (1.0 - rate) / trials)
 
 
+def _draws_equal(a, b) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
+def _joined(*parts):
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
 class TestSubstreams:
     def test_chunking_invariance(self):
-        mono = _trial_uniforms(7, 0, 600, 17)
-        parts = np.vstack(
-            [
-                _trial_uniforms(7, 0, 1, 17),
-                _trial_uniforms(7, 1, 299, 17),
-                _trial_uniforms(7, 300, 300, 17),
-            ]
+        mono = _trial_draws(7, 0, 600, 17)
+        parts = _joined(
+            _trial_draws(7, 0, 1, 17),
+            _trial_draws(7, 1, 299, 17),
+            _trial_draws(7, 300, 300, 17),
         )
-        assert np.array_equal(mono, parts)
+        assert _draws_equal(mono, parts)
 
-    def test_uniforms_in_open_interval(self):
-        u = _trial_uniforms(3, 0, 200, 10)
-        assert u.shape == (200, 20)
-        assert u.min() > 0.0
-        assert u.max() < 1.0
+    def test_chunking_invariance_across_blocks(self):
+        edge = _CHUNK_TRIALS - 300
+        mono = _trial_draws(7, edge, 600, 17)
+        parts = _joined(
+            _trial_draws(7, edge, 300, 17), _trial_draws(7, edge + 300, 300, 17)
+        )
+        assert _draws_equal(mono, parts)
+
+    def test_draws_in_domain(self):
+        z, v = _trial_draws(3, 0, 200, 10)
+        assert z.shape == v.shape == (200,)
+        assert np.isfinite(z).all()
+        assert np.isfinite(v).all() and v.min() > 0.0
 
     def test_distinct_seeds_differ(self):
-        assert not np.array_equal(
-            _trial_uniforms(1, 0, 10, 5), _trial_uniforms(2, 0, 10, 5)
-        )
+        for a, b in zip(_trial_draws(1, 0, 10, 5), _trial_draws(2, 0, 10, 5)):
+            assert not np.array_equal(a, b)
 
 
 class TestScalarAgreement:
     def test_tallies_match_scalar_pipeline(self):
-        # Rebuild every trial through the scalar t-test and decision
-        # engine; the vectorized tallies must agree exactly.
+        # Rebuild every trial's t in plain Python from its (Z, V) and
+        # classify it with the scalar decision engine; the vectorized
+        # tallies must agree exactly.  The run spans two stream blocks.
         cfg = SimulationConfig(
             n_per_group=6,
             mean_diff_over_sigma=0.4,
             alpha=0.05,
-            trials=400,
+            trials=_CHUNK_TRIALS + 400,
             seed=99,
             procedure=Procedure.FIVE_DECISION,
         )
         report = run_simulation(cfg)
 
-        null = student_t(2 * cfg.n_per_group - 2)
-        counts = {k: 0 for k in (1, 2, 3, 4, 5)}
         n = cfg.n_per_group
-        for i in range(cfg.trials):
-            u = _trial_uniforms(cfg.seed, i, 1, n)[0]
-            radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-            angle = (2.0 * np.pi) * u[1::2]
-            normals = np.empty(2 * n)
-            normals[0::2] = radius * np.cos(angle)
-            normals[1::2] = radius * np.sin(angle)
-            xs_a = normals[:n] + cfg.mean_diff_over_sigma
-            xs_b = normals[n:]
-            r = two_sample_t_raw(list(xs_a), list(xs_b))
-            counts[five_decision(r.t_stat, null, cfg.alpha).index] += 1
+        null = student_t(2 * n - 2)
+        shift = cfg.mean_diff_over_sigma * math.sqrt(n / 2.0)
+        counts = {k: 0 for k in (1, 2, 3, 4, 5)}
+        z, v = _trial_draws(cfg.seed, 0, cfg.trials, n)
+        for z_i, v_i in zip(z.tolist(), v.tolist()):
+            t = (shift + z_i) / math.sqrt(v_i / (2 * n - 2))
+            counts[five_decision(t, null, cfg.alpha).index] += 1
         assert counts == report.counts
+
+
+def _binomial_z(count: int, trials: int, p: float) -> float:
+    # Normal deviate of the exact binomial tail on the count's side of
+    # the mean; stays meaningful where the expected count is below one.
+    if count >= trials * p:
+        tail = stats.binom.sf(count - 1, trials, p)
+    else:
+        tail = stats.binom.cdf(count, trials, p)
+    return float(stats.norm.isf(min(tail, 0.5)))
+
+
+class TestExactDistribution:
+    # The pooled t under the simulated model is noncentral t with
+    # df = 2n-2 and ncp = effect*sqrt(n/2), so every decision count is
+    # binomial with a region probability from scipy's nct.  n = 2 is
+    # the gamma shape-1 edge.
+    TRIALS = 1 << 18
+
+    @pytest.mark.parametrize("effect", [0.0, 0.5])
+    @pytest.mark.parametrize("n", [2, 10, 63, 500])
+    def test_counts_match_noncentral_t(self, n, effect):
+        alpha = 0.05
+        cfg = SimulationConfig(
+            n_per_group=n,
+            mean_diff_over_sigma=effect,
+            alpha=alpha,
+            trials=self.TRIALS,
+            seed=1,
+        )
+        report = run_simulation(cfg)
+        df = 2 * n - 2
+        edges = stats.t.ppf([alpha / 2, alpha, 1 - alpha, 1 - alpha / 2], df)
+        cdf = stats.nct(df, effect * math.sqrt(n / 2.0)).cdf(edges)
+        probs = np.diff(np.concatenate([[0.0], cdf, [1.0]]))
+        for k, p in zip((1, 2, 3, 4, 5), probs):
+            z = _binomial_z(report.counts[k], self.TRIALS, float(p))
+            assert z <= 5.0, (k, report.counts[k], p, z)
 
 
 class TestDeterminism:
@@ -134,7 +182,7 @@ class TestReportShape:
 
     def test_to_dict_schema(self):
         d = run_simulation(dataclasses.replace(BASE, trials=50)).to_dict()
-        assert d["schema_version"] == 1
+        assert d["schema_version"] == 2
         assert d["procedure"] == "five-decision"
         assert set(d["counts"]) == {"1", "2", "3", "4", "5"}
 
