@@ -23,6 +23,7 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import dataclass
 
 from .decisions import (
     Decision,
@@ -32,7 +33,7 @@ from .decisions import (
     jones_tukey_decision,
     kaiser_decision,
 )
-from .distributions import NullDistribution, standard_normal, student_t
+from .distributions import standard_normal, student_t
 from .power import (
     DEFAULT_TABLE_ALPHAS,
     DEFAULT_TABLE_PSIS,
@@ -69,17 +70,18 @@ class _ParseError(Exception):
     """Bad input file or inline value; mapped to exit code 2."""
 
 
+@dataclass(frozen=True)
+class _View:
+    """What one command prints: main renders the payload as JSON, the
+    rows as TSV, or the lines as text."""
+
+    payload: dict
+    rows: list[list[str]]
+    lines: list[str]
+
+
 def _fmt(x: float, precision: int) -> str:
     return f"{x:.{precision}g}"
-
-
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-def _print_tsv(rows: list[list[str]]) -> None:
-    for row in rows:
-        print("\t".join(row))
 
 
 def _percent_label(level: float) -> str:
@@ -102,8 +104,6 @@ def _parse_summary(text: str) -> tuple[GroupSummary, GroupSummary]:
         raise _ParseError(f"--summary has a non-numeric field: {exc}") from exc
     try:
         return GroupSummary(n1, mean1, sd1), GroupSummary(n2, mean2, sd2)
-    except DegenerateDataError:
-        raise
     except ValueError as exc:
         raise _ParseError(f"--summary describes an invalid group: {exc}") from exc
 
@@ -155,10 +155,9 @@ def _parse_csv(path: str) -> tuple[list[str], dict[str, list[float]]]:
     return labels, groups
 
 
-def _decision_sentence(d: Decision, theta0: float, precision: int) -> str:
+def _decision_sentence(d: Decision, t0: str) -> str:
     if d.rejected is Hypothesis.NONE:
         return "no hypothesis rejected"
-    t0 = _fmt(theta0, precision)
     acc = d.accepted_implicitly
     return (
         f"reject {d.rejected.value}: theta {d.rejected.comparator} {t0}"
@@ -166,15 +165,12 @@ def _decision_sentence(d: Decision, theta0: float, precision: int) -> str:
     )
 
 
-def _decision_payload(d: Decision) -> dict:
-    return {
-        "index": d.index,
-        "rejected": d.rejected.value,
-        "accepted_implicitly": d.accepted_implicitly.value,
-    }
+# With theta = theta0 ruled out, the Jones-Tukey verdicts 2 and 4 also
+# reject the non-strict hypothesis on the same side.
+_JT_ALSO_REJECTS = {2: Hypothesis.H1, 4: Hypothesis.H5}
 
 
-def cmd_decide(args: argparse.Namespace) -> int:
+def cmd_decide(args: argparse.Namespace) -> _View:
     theta0 = args.theta0
     if args.summary is not None:
         first, second = _parse_summary(args.summary)
@@ -184,153 +180,116 @@ def cmd_decide(args: argparse.Namespace) -> int:
     else:
         labels, groups = _parse_csv(args.csv)
         first_label, second_label = labels
-        try:
-            result = two_sample_t_raw(groups[second_label], groups[first_label], theta0)
-        except DegenerateDataError:
-            raise
-        except ValueError as exc:
-            raise DegenerateDataError(str(exc)) from exc
+        result = two_sample_t_raw(groups[second_label], groups[first_label], theta0)
         source = {"csv": args.csv}
 
     alpha = args.alpha
     wide_level = 1.0 - alpha
-    narrow_level = 1.0 - 2.0 * alpha
+    narrow_level = max(1.0 - 2.0 * alpha, 0.0)
     ci_wide = confidence_interval(result, wide_level)
     ci_narrow = (
         confidence_interval(result, narrow_level)
         if narrow_level > 0.0
         else (result.estimate, result.estimate)
     )
-    five = five_decision(result.t_stat, result.null, alpha)
-    kaiser = kaiser_decision(result.t_stat, result.null, alpha)
-    jt = jones_tukey_decision(result.t_stat, result.null, alpha)
+    decisions = {
+        "five_decision": five_decision(result.t_stat, result.null, alpha),
+        "kaiser": kaiser_decision(result.t_stat, result.null, alpha),
+        "jones_tukey": jones_tukey_decision(result.t_stat, result.null, alpha),
+    }
 
-    df = result.null.df
     p = args.precision
-    if args.format == "json":
-        _print_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "input": source,
-                "direction": f"{second_label} minus {first_label}",
-                "alpha": alpha,
-                "theta0": theta0,
-                "estimate": result.estimate,
-                "se": result.se,
-                "df": df,
-                "t_stat": result.t_stat,
-                "p_two_sided": result.p_two_sided,
-                "ci": {
-                    "wide_level": wide_level,
-                    "wide": list(ci_wide),
-                    "narrow_level": max(narrow_level, 0.0),
-                    "narrow": list(ci_narrow),
-                },
-                "decisions": {
-                    "five_decision": _decision_payload(five),
-                    "kaiser": _decision_payload(kaiser),
-                    "jones_tukey": _decision_payload(jt),
-                },
-            }
+    direction = f"{second_label} minus {first_label}"
+    stats = {
+        "estimate": result.estimate,
+        "se": result.se,
+        "df": result.null.df,
+        "t_stat": result.t_stat,
+        "p_two_sided": result.p_two_sided,
+    }
+    shown = {name: _fmt(x, p) for name, x in stats.items()}
+    rows = [["field", "value"], ["direction", direction]] + [
+        [name, text] for name, text in shown.items()
+    ]
+    lines = [
+        f"difference taken as {direction}",
+        f"estimate = {shown['estimate']}, se = {shown['se']}",
+        f"t_stat = {shown['t_stat']}, df = {shown['df']}, "
+        f"two-sided p = {shown['p_two_sided']}",
+    ]
+    for level, ci in ((wide_level, ci_wide), (narrow_level, ci_narrow)):
+        label, low, high = _percent_label(level), _fmt(ci[0], p), _fmt(ci[1], p)
+        rows += [[f"ci_{label}_low", low], [f"ci_{label}_high", high]]
+        lines.append(f"{label} CI: [{low}, {high}]")
+    t0 = _fmt(theta0, p)
+    titles = (
+        f"five-decision (alpha={_fmt(alpha, p)})",
+        "directional two-sided, levels alpha/2",
+        "two one-sided at full alpha (theta0 impossible)",
+    )
+    for (key, d), title in zip(decisions.items(), titles):
+        rows.append([key, str(d.index)])
+        lines.append(f"{title}: decision {d.index}, " + _decision_sentence(d, t0))
+    also = _JT_ALSO_REJECTS.get(decisions["jones_tukey"].index)
+    if also is not None:
+        lines[-1] += (
+            f"; with theta0 excluded this also rejects "
+            f"{also.value}: theta {also.comparator} {t0}"
         )
-        return EXIT_OK
-    if args.format == "tsv":
-        rows = [
-            ["field", "value"],
-            ["direction", f"{second_label} minus {first_label}"],
-            ["estimate", _fmt(result.estimate, p)],
-            ["se", _fmt(result.se, p)],
-            ["df", _fmt(df, p)],
-            ["t_stat", _fmt(result.t_stat, p)],
-            ["p_two_sided", _fmt(result.p_two_sided, p)],
-            [f"ci_{_percent_label(wide_level)}_low", _fmt(ci_wide[0], p)],
-            [f"ci_{_percent_label(wide_level)}_high", _fmt(ci_wide[1], p)],
-            [f"ci_{_percent_label(max(narrow_level, 0.0))}_low", _fmt(ci_narrow[0], p)],
-            [f"ci_{_percent_label(max(narrow_level, 0.0))}_high", _fmt(ci_narrow[1], p)],
-            ["five_decision", str(five.index)],
-            ["kaiser", str(kaiser.index)],
-            ["jones_tukey", str(jt.index)],
-        ]
-        _print_tsv(rows)
-        return EXIT_OK
 
-    print(f"difference taken as {second_label} minus {first_label}")
-    print(f"estimate = {_fmt(result.estimate, p)}, se = {_fmt(result.se, p)}")
-    print(
-        f"t_stat = {_fmt(result.t_stat, p)}, df = {_fmt(df, p)}, "
-        f"two-sided p = {_fmt(result.p_two_sided, p)}"
-    )
-    print(
-        f"{_percent_label(wide_level)} CI: "
-        f"[{_fmt(ci_wide[0], p)}, {_fmt(ci_wide[1], p)}]"
-    )
-    print(
-        f"{_percent_label(max(narrow_level, 0.0))} CI: "
-        f"[{_fmt(ci_narrow[0], p)}, {_fmt(ci_narrow[1], p)}]"
-    )
-    print(
-        f"five-decision (alpha={_fmt(alpha, p)}): decision {five.index}, "
-        + _decision_sentence(five, theta0, p)
-    )
-    print(
-        f"directional two-sided, levels alpha/2: decision {kaiser.index}, "
-        + _decision_sentence(kaiser, theta0, p)
-    )
-    jt_line = (
-        f"two one-sided at full alpha (theta0 impossible): decision {jt.index}, "
-        + _decision_sentence(jt, theta0, p)
-    )
-    if jt.index == 4:
-        jt_line += f"; with theta0 excluded this also rejects H5: theta <= {_fmt(theta0, p)}"
-    elif jt.index == 2:
-        jt_line += f"; with theta0 excluded this also rejects H1: theta >= {_fmt(theta0, p)}"
-    print(jt_line)
-    return EXIT_OK
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "input": source,
+        "direction": direction,
+        "alpha": alpha,
+        "theta0": theta0,
+        **stats,
+        "ci": {
+            "wide_level": wide_level,
+            "wide": list(ci_wide),
+            "narrow_level": narrow_level,
+            "narrow": list(ci_narrow),
+        },
+        "decisions": {
+            key: {
+                "index": d.index,
+                "rejected": d.rejected.value,
+                "accepted_implicitly": d.accepted_implicitly.value,
+            }
+            for key, d in decisions.items()
+        },
+    }
+    return _View(payload, rows, lines)
 
 
 # ----------------------------------------------------------------- power
 
-def cmd_power(args: argparse.Namespace) -> int:
-    if args.target:
-        targets = [args.target]
-        values = {
-            args.target: power_wald(
-                PowerSpec(args.alpha, args.effect, Hypothesis(args.target))
-            )
-        }
-    else:
-        # Reporting all four sides includes hypotheses on the wrong
-        # side of the effect by design; silence the advisory warning.
-        with warnings.catch_warnings():
+def cmd_power(args: argparse.Namespace) -> _View:
+    with warnings.catch_warnings():
+        if not args.target:
+            # Reporting all four sides includes hypotheses on the wrong
+            # side of the effect by design; silence the advisory warning.
             warnings.simplefilter("ignore")
-            values = {
-                name: power_wald(PowerSpec(args.alpha, args.effect, Hypothesis(name)))
-                for name in _TARGET_CHOICES
-            }
-    if args.format == "json":
-        _print_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "alpha": args.alpha,
-                "effect": args.effect,
-                "power": values,
-            }
-        )
-    elif args.format == "tsv":
-        _print_tsv(
-            [["target", "power"]]
-            + [[name, _fmt(v, args.precision)] for name, v in values.items()]
-        )
-    else:
-        for name, v in values.items():
-            print(
-                f"psi({name}) = {_fmt(v, args.precision)} "
-                f"({_fmt(100.0 * v, args.precision)}%)"
-            )
-    return EXIT_OK
+        values = {
+            name: power_wald(PowerSpec(args.alpha, args.effect, Hypothesis(name)))
+            for name in ([args.target] if args.target else _TARGET_CHOICES)
+        }
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "alpha": args.alpha,
+        "effect": args.effect,
+        "power": values,
+    }
+    rows = [["target", "power"]]
+    lines = []
+    for name, v in values.items():
+        power = _fmt(v, args.precision)
+        rows.append([name, power])
+        lines.append(f"psi({name}) = {power} ({_fmt(100.0 * v, args.precision)}%)")
+    return _View(payload, rows, lines)
 
 
-def cmd_samplesize(args: argparse.Namespace) -> int:
+def cmd_samplesize(args: argparse.Namespace) -> _View:
     inputs = SampleSizeInputs(
         alpha=args.alpha,
         psi=args.power,
@@ -340,40 +299,31 @@ def cmd_samplesize(args: argparse.Namespace) -> int:
     non_strict = sample_size(inputs, strict=False)
     strict = sample_size(inputs, strict=True)
     saving = reduction(args.alpha, args.power)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "alpha": args.alpha,
+        "power": args.power,
+        "delta": args.delta,
+        "tau_sq": args.tau_sq,
+        "non_strict": {"n": non_strict.n, "n_exact": non_strict.n_exact},
+        "strict": {"n": strict.n, "n_exact": strict.n_exact},
+        "reduction": saving,
+    }
     p = args.precision
-    if args.format == "json":
-        _print_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "alpha": args.alpha,
-                "power": args.power,
-                "delta": args.delta,
-                "tau_sq": args.tau_sq,
-                "non_strict": {"n": non_strict.n, "n_exact": non_strict.n_exact},
-                "strict": {"n": strict.n, "n_exact": strict.n_exact},
-                "reduction": saving,
-            }
-        )
-    elif args.format == "tsv":
-        _print_tsv(
-            [
-                ["target", "n", "n_exact"],
-                ["non-strict", str(non_strict.n), _fmt(non_strict.n_exact, p)],
-                ["strict", str(strict.n), _fmt(strict.n_exact, p)],
-                ["reduction", f"{as_whole_percent(saving)}%", _fmt(saving, p)],
-            ]
-        )
-    else:
-        print(
-            f"non-strict target: n = {non_strict.n} "
-            f"(exact {_fmt(non_strict.n_exact, p)})"
-        )
-        print(f"strict target:     n = {strict.n} (exact {_fmt(strict.n_exact, p)})")
-        print(
-            f"reduction from strict target: {as_whole_percent(saving)}% "
-            f"(exact {_fmt(saving, p)})"
-        )
-    return EXIT_OK
+    exact_ns, exact_s = _fmt(non_strict.n_exact, p), _fmt(strict.n_exact, p)
+    percent, exact_saving = f"{as_whole_percent(saving)}%", _fmt(saving, p)
+    rows = [
+        ["target", "n", "n_exact"],
+        ["non-strict", str(non_strict.n), exact_ns],
+        ["strict", str(strict.n), exact_s],
+        ["reduction", percent, exact_saving],
+    ]
+    lines = [
+        f"non-strict target: n = {non_strict.n} (exact {exact_ns})",
+        f"strict target:     n = {strict.n} (exact {exact_s})",
+        f"reduction from strict target: {percent} (exact {exact_saving})",
+    ]
+    return _View(payload, rows, lines)
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -386,7 +336,7 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> _View:
     alphas = (
         _parse_float_list(args.alphas, "--alphas")
         if args.alphas
@@ -399,34 +349,25 @@ def cmd_table(args: argparse.Namespace) -> int:
     )
     fractions = reduction_table(alphas, psis)
     percents = [[as_whole_percent(cell) for cell in row] for row in fractions]
-    if args.format == "json":
-        _print_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "alphas": alphas,
-                "powers": psis,
-                "fractions": fractions,
-                "percents": percents,
-            }
-        )
-        return EXIT_OK
-    header = ["alpha\\psi"] + [_percent_label(p) for p in psis]
-    rows = [header] + [
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "alphas": alphas,
+        "powers": psis,
+        "fractions": fractions,
+        "percents": percents,
+    }
+    rows = [["alpha\\psi"] + [_percent_label(p) for p in psis]] + [
         [_percent_label(a)] + [f"{c}%" for c in row]
         for a, row in zip(alphas, percents)
     ]
-    if args.format == "tsv":
-        _print_tsv(rows)
-        return EXIT_OK
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    for row in rows:
-        print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return EXIT_OK
+    widths = [max(len(cell) for cell in column) for column in zip(*rows)]
+    lines = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in rows]
+    return _View(payload, rows, lines)
 
 
 # -------------------------------------------------------------- simulate
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> _View:
     cfg = SimulationConfig(
         n_per_group=args.n,
         mean_diff_over_sigma=args.effect,
@@ -436,132 +377,83 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         procedure=_PROCEDURES[args.procedure],
     )
     report = run_simulation(cfg, workers=args.workers)
-    if args.format == "json":
-        _print_json(report.to_dict())
-        return EXIT_OK
     p = args.precision
-    if args.format == "tsv":
-        rows = [["decision", "count", "freq", "mc_se"]]
-        for k in sorted(report.freq):
-            rows.append(
-                [
-                    str(k),
-                    str(report.counts[k]),
-                    _fmt(report.freq[k], p),
-                    _fmt(report.mc_se[k], p),
-                ]
-            )
-        rows.append(
-            [
-                "wrong_rejection",
-                "",
-                _fmt(report.wrong_rejection_rate, p),
-                _fmt(report.wrong_rejection_mc_se, p),
-            ]
-        )
-        _print_tsv(rows)
-        return EXIT_OK
-    print(
+    rows = [["decision", "count", "freq", "mc_se"]]
+    lines = [
         f"procedure={cfg.procedure.value} n={cfg.n_per_group} "
         f"effect={_fmt(cfg.mean_diff_over_sigma, p)} alpha={_fmt(cfg.alpha, p)} "
         f"trials={cfg.trials} seed={cfg.seed}"
-    )
+    ]
     for k in sorted(report.freq):
-        print(
-            f"decision {k}: freq {_fmt(report.freq[k], p)} "
-            f"+- {_fmt(report.mc_se[k], p)} ({report.counts[k]} trials)"
-        )
-    print(
-        f"wrong-rejection rate: {_fmt(report.wrong_rejection_rate, p)} "
-        f"+- {_fmt(report.wrong_rejection_mc_se, p)}"
-    )
-    return EXIT_OK
+        freq, se = _fmt(report.freq[k], p), _fmt(report.mc_se[k], p)
+        rows.append([str(k), str(report.counts[k]), freq, se])
+        lines.append(f"decision {k}: freq {freq} +- {se} ({report.counts[k]} trials)")
+    wrong = _fmt(report.wrong_rejection_rate, p)
+    wrong_se = _fmt(report.wrong_rejection_mc_se, p)
+    rows.append(["wrong_rejection", "", wrong, wrong_se])
+    lines.append(f"wrong-rejection rate: {wrong} +- {wrong_se}")
+    return _View(report.to_dict(), rows, lines)
 
 
 # --------------------------------------------------------------- regions
 
-def _region_null(args: argparse.Namespace) -> NullDistribution:
-    if args.null == "normal":
-        return standard_normal()
-    return student_t(args.df)
-
-
-def cmd_regions(args: argparse.Namespace) -> int:
-    null = _region_null(args)
-    alphas = args.alpha if args.alpha else [0.10, 0.05, 0.01]
-    all_regions = [decision_regions(null, a) for a in alphas]
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "null": args.null,
-            "df": args.df if args.null == "t" else None,
-            "regions": [
-                {
-                    "alpha": r.alpha,
-                    "boundaries": list(r.boundaries),
-                    "intervals": [
-                        {
-                            "decision": s.index,
-                            "lower": None if s.lower == -math.inf else s.lower,
-                            "upper": None if s.upper == math.inf else s.upper,
-                            "lower_closed": s.lower_closed,
-                            "upper_closed": s.upper_closed,
-                            "rejected": s.rejected.value,
-                        }
-                        for s in r.intervals()
-                    ],
-                }
-                for r in all_regions
-            ],
-        }
-        _print_json(payload)
-        return EXIT_OK
-    if args.format == "tsv":
-        rows = [
-            [
-                "alpha",
-                "decision",
-                "lower",
-                "upper",
-                "lower_closed",
-                "upper_closed",
-                "rejected",
-            ]
-        ]
-        for r in all_regions:
-            for s in r.intervals():
-                rows.append(
-                    [
-                        repr(r.alpha),
-                        str(s.index),
-                        repr(s.lower),
-                        repr(s.upper),
-                        str(int(s.lower_closed)),
-                        str(int(s.upper_closed)),
-                        s.rejected.value,
-                    ]
-                )
-        _print_tsv(rows)
-        return EXIT_OK
+def cmd_regions(args: argparse.Namespace) -> _View:
+    null = standard_normal() if args.null == "normal" else student_t(args.df)
+    all_regions = [decision_regions(null, a) for a in args.alpha or [0.10, 0.05, 0.01]]
     p = args.precision
+    regions = []
+    rows = ["alpha decision lower upper lower_closed upper_closed rejected".split()]
+    lines = []
     for r in all_regions:
-        q1, q2, q3, q4 = r.boundaries
-        print(
+        intervals = []
+        lines.append(
             f"alpha={_fmt(r.alpha, p)}: boundaries "
-            f"({_fmt(q1, p)}, {_fmt(q2, p)}, {_fmt(q3, p)}, {_fmt(q4, p)})"
+            f"({', '.join(_fmt(q, p) for q in r.boundaries)})"
         )
         for s in r.intervals():
+            lower = None if s.lower == -math.inf else s.lower
+            upper = None if s.upper == math.inf else s.upper
+            intervals.append(
+                {
+                    "decision": s.index,
+                    "lower": lower,
+                    "upper": upper,
+                    "lower_closed": s.lower_closed,
+                    "upper_closed": s.upper_closed,
+                    "rejected": s.rejected.value,
+                }
+            )
+            rows.append(
+                [
+                    repr(r.alpha),
+                    str(s.index),
+                    repr(s.lower),
+                    repr(s.upper),
+                    str(int(s.lower_closed)),
+                    str(int(s.upper_closed)),
+                    s.rejected.value,
+                ]
+            )
             left = "[" if s.lower_closed else "("
             right = "]" if s.upper_closed else ")"
-            lo = "-inf" if s.lower == -math.inf else _fmt(s.lower, p)
-            hi = "inf" if s.upper == math.inf else _fmt(s.upper, p)
+            lo = "-inf" if lower is None else _fmt(lower, p)
+            hi = "inf" if upper is None else _fmt(upper, p)
             label = (
                 "no rejection"
                 if s.rejected is Hypothesis.NONE
                 else f"reject {s.rejected.value}"
             )
-            print(f"  decision {s.index}: {left}{lo}, {hi}{right}  {label}")
-    return EXIT_OK
+            lines.append(f"  decision {s.index}: {left}{lo}, {hi}{right}  {label}")
+        regions.append(
+            {"alpha": r.alpha, "boundaries": list(r.boundaries), "intervals": intervals}
+        )
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "null": args.null,
+        "df": args.df if args.null == "t" else None,
+        "regions": regions,
+    }
+    return _View(payload, rows, lines)
 
 
 # ---------------------------------------------------------------- parser
@@ -695,7 +587,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        view = args.func(args)
     except _ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -705,6 +597,15 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.format == "json":
+        print(json.dumps(view.payload, sort_keys=True, indent=2))
+    elif args.format == "tsv":
+        for row in view.rows:
+            print("\t".join(row))
+    else:
+        for line in view.lines:
+            print(line)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

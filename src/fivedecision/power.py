@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
-from .decisions import Hypothesis
+from .decisions import Hypothesis, _check_alpha
 from .distributions import cdf, quantile, standard_normal
 
 __all__ = [
@@ -59,8 +59,7 @@ class PowerSpec:
     target: Hypothesis
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 0.5:
-            raise ValueError(f"alpha must lie in (0, 0.5], got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if not math.isfinite(self.effect):
             raise ValueError("effect must be finite")
         if self.target not in _TARGETS:
@@ -89,8 +88,7 @@ class SampleSizeInputs:
     tau: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if not 0.0 < self.psi < 1.0:
             raise ValueError(f"psi must lie in (0, 1), got {self.psi!r}")
         if not (math.isfinite(self.delta) and self.delta > 0):

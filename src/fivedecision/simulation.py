@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .decisions import _MERGE, _index_from_boundaries, decision_regions
+from .decisions import _MERGE, _check_alpha, _index_from_boundaries, decision_regions
 from .distributions import student_t
 
 __all__ = [
@@ -82,8 +82,7 @@ class SimulationConfig:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not math.isfinite(self.mean_diff_over_sigma):
             raise ValueError("mean_diff_over_sigma must be finite")
-        if not 0.0 < self.alpha <= 0.5:
-            raise ValueError(f"alpha must lie in (0, 0.5], got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
         if not isinstance(self.procedure, Procedure):

@@ -67,6 +67,22 @@ def _result(estimate: float, se: float, theta0: float, null: NullDistribution) -
     return TestResult(t_stat=t_stat, null=null, p_two_sided=p, estimate=estimate, se=se)
 
 
+def _pooled_t(
+    a: tuple[int, float, float], b: tuple[int, float, float], theta0: float
+) -> TestResult:
+    """Pooled t of group a minus group b, each given as (n, mean, sd)
+    with n >= 2."""
+    if not math.isfinite(theta0):
+        raise ValueError("theta0 must be finite")
+    (n_a, mean_a, sd_a), (n_b, mean_b, sd_b) = a, b
+    df = n_a + n_b - 2
+    pooled_var = ((n_a - 1) * sd_a**2 + (n_b - 1) * sd_b**2) / df
+    if pooled_var <= 0:
+        raise DegenerateDataError("no within-group variance in either group")
+    se = math.sqrt(pooled_var) * math.sqrt(1.0 / n_a + 1.0 / n_b)
+    return _result(mean_a - mean_b, se, theta0, student_t(df))
+
+
 def two_sample_t(a: GroupSummary, b: GroupSummary, theta0: float = 0.0) -> TestResult:
     """Pooled two-sample t-test from summary statistics.
 
@@ -76,16 +92,7 @@ def two_sample_t(a: GroupSummary, b: GroupSummary, theta0: float = 0.0) -> TestR
     the familiar sqrt(n/2)*(mean_a-mean_b)/s form.  The null is
     Student t with n_a + n_b - 2 degrees of freedom.
     """
-    if not math.isfinite(theta0):
-        raise ValueError("theta0 must be finite")
-    df = a.n + b.n - 2
-    if df <= 0:
-        raise DegenerateDataError("needs n_a + n_b > 2 for positive degrees of freedom")
-    pooled_var = ((a.n - 1) * a.sd**2 + (b.n - 1) * b.sd**2) / df
-    if pooled_var <= 0:
-        raise DegenerateDataError("pooled variance is zero")
-    se = math.sqrt(pooled_var) * math.sqrt(1.0 / a.n + 1.0 / b.n)
-    return _result(a.mean - b.mean, se, theta0, student_t(df))
+    return _pooled_t((a.n, a.mean, a.sd), (b.n, b.mean, b.sd), theta0)
 
 
 def two_sample_t_raw(
@@ -93,27 +100,20 @@ def two_sample_t_raw(
 ) -> TestResult:
     """Pooled two-sample t-test from raw observations.
 
-    Summarizes each group and delegates to two_sample_t.  At least one
-    group must have nonzero within-group variance.
+    Summarizes each group and computes the same statistic as
+    two_sample_t.  Each group needs at least 2 observations and at
+    least one group nonzero within-group variance; otherwise raises
+    DegenerateDataError.
     """
     summaries = []
     for label, xs in (("first", xs_a), ("second", xs_b)):
         xs = [float(x) for x in xs]
         if len(xs) < 2:
-            raise ValueError(f"{label} group needs at least 2 observations")
+            raise DegenerateDataError(f"{label} group needs at least 2 observations")
         if not all(math.isfinite(x) for x in xs):
             raise ValueError(f"{label} group contains non-finite values")
         summaries.append((len(xs), statistics.fmean(xs), statistics.stdev(xs)))
-
-    (n_a, mean_a, sd_a), (n_b, mean_b, sd_b) = summaries
-    df = n_a + n_b - 2
-    pooled_var = ((n_a - 1) * sd_a**2 + (n_b - 1) * sd_b**2) / df
-    if pooled_var <= 0:
-        raise DegenerateDataError("no within-group variance in either group")
-    if not math.isfinite(theta0):
-        raise ValueError("theta0 must be finite")
-    se = math.sqrt(pooled_var) * math.sqrt(1.0 / n_a + 1.0 / n_b)
-    return _result(mean_a - mean_b, se, theta0, student_t(df))
+    return _pooled_t(summaries[0], summaries[1], theta0)
 
 
 def wald(estimate: float, se: float, theta0: float = 0.0) -> TestResult:

@@ -139,6 +139,13 @@ class TestDecideCsv:
         code, _, _ = run_cli(capsys, "decide", "--csv", path)
         assert code == 3
 
+    def test_nan_theta0_is_usage_error(self, capsys, tmp_path):
+        path = self._write(tmp_path, "group,value\na,1\na,2\nb,2\nb,4\n")
+        for source in (["--summary", CHICK_SUMMARY], ["--csv", path]):
+            code, _, err = run_cli(capsys, "decide", *source, "--theta0", "nan")
+            assert code == 2
+            assert "theta0 must be finite" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "decide", "--csv", "/nonexistent.csv")
         assert code == 2
@@ -229,6 +236,22 @@ class TestSampleSize:
         assert code == 2
         assert "power" in err
 
+    def test_alpha_above_half_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "samplesize",
+            "--alpha",
+            "0.7",
+            "--power",
+            "0.80",
+            "--delta",
+            "0.5",
+            "--tau-sq",
+            "2",
+        )
+        assert code == 2
+        assert "alpha must lie in (0, 0.5]" in err
+
 
 class TestTable:
     PERCENTS = [
@@ -254,6 +277,11 @@ class TestTable:
             capsys, "table", "--alphas", "0.05", "--powers", "0.8", "--format", "json"
         )
         assert json.loads(out)["percents"] == [[21]]
+
+    def test_alpha_above_half_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "table", "--alphas", "0.7", "--powers", "0.99")
+        assert code == 2
+        assert "alpha must lie in (0, 0.5]" in err
 
 
 class TestSimulate:

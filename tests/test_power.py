@@ -175,6 +175,8 @@ class TestSampleSize:
             SampleSizeInputs(alpha=0.05, psi=0.8, delta=0.5, tau=0.0)
         with pytest.raises(ValueError):
             SampleSizeInputs(alpha=0.05, psi=1.0, delta=0.5, tau=1.0)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 0\.5\]"):
+            SampleSizeInputs(alpha=0.7, psi=0.8, delta=0.5, tau=1.0)
 
 
 class TestReduction:

@@ -119,6 +119,13 @@ class TestTwoSampleRaw:
         assert r_raw.t_stat == pytest.approx(r_sum.t_stat, abs=1e-12)
         assert r_raw.p_two_sided == pytest.approx(r_sum.p_two_sided, abs=1e-12)
 
+    def test_raw_and_summary_bit_identical(self):
+        # Both groups summarize exactly, so the two paths must agree to
+        # the last bit, not just to a tolerance.
+        r_raw = two_sample_t_raw([1.0, 2.0, 3.0], [4.0, 6.0, 8.0], 0.5)
+        r_sum = two_sample_t(GroupSummary(3, 2.0, 1.0), GroupSummary(3, 6.0, 2.0), 0.5)
+        assert r_raw == r_sum
+
     def test_one_constant_group_is_fine(self):
         r = two_sample_t_raw([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
         assert math.isfinite(r.t_stat)
@@ -128,7 +135,7 @@ class TestTwoSampleRaw:
             two_sample_t_raw([5.0, 5.0], [3.0, 3.0])
 
     def test_short_group_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateDataError):
             two_sample_t_raw([1.0], [1.0, 2.0])
 
     def test_non_finite_rejected(self):
