@@ -30,11 +30,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .decisions import _MERGE, _check_alpha, _index_from_boundaries, decision_regions
 from .distributions import student_t
@@ -47,8 +44,8 @@ __all__ = [
     "wrong_rejection_grid",
 ]
 
-# Trials per random-stream block and per task; part of the stream
-# definition, so changing it changes every report.
+# Trials per random-stream block, and per task on a process pool; part
+# of the stream definition, so changing it changes every report.
 _CHUNK_TRIALS = 16384
 # Refuse configurations that stand for more observations (2n per
 # trial) than this.  The kernel draws two numbers per trial whatever
@@ -119,6 +116,27 @@ class SimulationReport:
         }
 
 
+def _blocks(start: int, count: int):
+    """(block, lo, hi) for each stream block that trials
+    [start, start+count) touch, where lo:hi is their span in the block."""
+    end = start + count
+    for block in range(start // _CHUNK_TRIALS, (end - 1) // _CHUNK_TRIALS + 1):
+        first = block * _CHUNK_TRIALS
+        yield block, max(start, first) - first, min(end, first + _CHUNK_TRIALS) - first
+
+
+def _draw_block(seed: int, block: int, hi: int, n_per_group: int, z, v) -> None:
+    """Fill z with block's B normals and v[:hi] with its first hi V values."""
+    import numpy as np
+
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
+    # All B normals come first, so the gammas start at the same
+    # stream position however few of them are needed.
+    gen.standard_normal(out=z)
+    gen.standard_gamma(n_per_group - 1, out=v[:hi])
+    v[:hi] *= 2.0
+
+
 def _trial_draws(
     seed: int, start: int, count: int, n_per_group: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -129,27 +147,43 @@ def _trial_draws(
     counter values.  A block's draws depend only on (seed, b), and any
     span of trials is sliced out of the blocks it touches.
     """
+    import numpy as np
+
+    z, v = np.empty(_CHUNK_TRIALS), np.empty(_CHUNK_TRIALS)
     zs, vs = [], []
-    end = start + count
-    for block in range(start // _CHUNK_TRIALS, (end - 1) // _CHUNK_TRIALS + 1):
-        first = block * _CHUNK_TRIALS
-        lo, hi = max(start, first) - first, min(end, first + _CHUNK_TRIALS) - first
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
-        # All B normals come first, so the gammas start at the same
-        # stream position however few of them are needed.
-        zs.append(gen.standard_normal(_CHUNK_TRIALS)[lo:hi])
-        vs.append(2.0 * gen.standard_gamma(n_per_group - 1, hi)[lo:])
+    for block, lo, hi in _blocks(start, count):
+        _draw_block(seed, block, hi, n_per_group, z, v)
+        zs.append(z[lo:hi].copy())
+        vs.append(v[lo:hi].copy())
     return np.concatenate(zs), np.concatenate(vs)
 
 
 def _simulate_chunk(args: tuple) -> np.ndarray:
-    """Decision tallies (length-6 array indexed by decision) for one
-    chunk of trials.  Top level so process pools can pickle it."""
+    """Decision tallies (length-6 array indexed by decision) for trials
+    [start, start+count).  Top level so process pools can pickle it.
+
+    Every block is drawn into the same two buffers and transformed in
+    place.  Block-sized temporaries freed at the top of the heap are
+    handed back to the system by the allocator and faulted in again on
+    the next block, which can cost a fifth of the run time.
+    """
+    import numpy as np
+
     seed, start, count, n, effect, boundaries, procedure_value = args
-    z, v = _trial_draws(seed, start, count, n)
-    t = (effect * math.sqrt(n / 2.0) + z) / np.sqrt(v / (2 * n - 2))
-    idx = _index_from_boundaries(t, *boundaries)
-    return np.bincount(np.take(_MERGE[procedure_value], idx), minlength=6)
+    shift = effect * math.sqrt(n / 2.0)
+    merge = np.array(_MERGE[procedure_value])
+    z, v = np.empty(_CHUNK_TRIALS), np.empty(_CHUNK_TRIALS)
+    totals = np.zeros(6, dtype=np.int64)
+    for block, lo, hi in _blocks(start, count):
+        _draw_block(seed, block, hi, n, z, v)
+        t, s = z[lo:hi], v[lo:hi]
+        s /= 2 * n - 2
+        np.sqrt(s, out=s)
+        t += shift
+        t /= s
+        idx = _index_from_boundaries(t, *boundaries)
+        totals += np.bincount(merge[idx], minlength=6)
+    return totals
 
 
 def _wrong_indices(effect: float, procedure: Procedure) -> tuple[int, ...]:
@@ -174,28 +208,37 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
     workers > 1 distributes fixed-size chunks over a process pool; the
     report is identical for any worker count.
     """
+    # numpy and the pool load here, not at module import, so importing
+    # the package and every other CLI command start without them.
+    import numpy as np
+
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     null = student_t(2 * cfg.n_per_group - 2)
     boundaries = decision_regions(null, cfg.alpha).boundaries
 
+    # One worker runs every block in one task, reusing its buffers; a
+    # pool gets one task per block.
+    span = cfg.trials if workers == 1 else _CHUNK_TRIALS
     tasks = [
         (
             cfg.seed,
             start,
-            min(_CHUNK_TRIALS, cfg.trials - start),
+            min(span, cfg.trials - start),
             cfg.n_per_group,
             cfg.mean_diff_over_sigma,
             boundaries,
             cfg.procedure.value,
         )
-        for start in range(0, cfg.trials, _CHUNK_TRIALS)
+        for start in range(0, cfg.trials, span)
     ]
     totals = np.zeros(6, dtype=np.int64)
     if workers == 1 or len(tasks) == 1:
         for task in tasks:
             totals += _simulate_chunk(task)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for counts in pool.map(_simulate_chunk, tasks):
                 totals += counts

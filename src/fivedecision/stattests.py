@@ -48,6 +48,9 @@ class GroupSummary:
             raise ValueError("mean and sd must be finite")
         if self.sd <= 0:
             raise ValueError(f"sd must be positive, got {self.sd}")
+        if self.sd * self.sd == 0.0:
+            # The pooled variance would be 0 and the data look degenerate.
+            raise ValueError(f"sd {self.sd!r} is too small: its square underflows to 0")
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,12 @@ class TestGroupSummary:
         with pytest.raises(ValueError):
             GroupSummary(5, math.nan, 1.0)
 
+    def test_sd_whose_square_underflows(self):
+        # Positive, but squares to 0.0: the pooled variance would be 0.
+        with pytest.raises(ValueError, match="sd 1e-200 is too small"):
+            GroupSummary(3, 0.0, 1e-200)
+        assert GroupSummary(3, 0.0, 1e-160).sd**2 > 0
+
 
 class TestTwoSampleSummary:
     def test_chick_weights_full_precision(self):
