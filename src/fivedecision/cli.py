@@ -49,7 +49,6 @@ from .simulation import Procedure, SimulationConfig, run_simulation
 from .stattests import (
     DegenerateDataError,
     GroupSummary,
-    confidence_interval,
     two_sample_t,
     two_sample_t_raw,
 )
@@ -186,12 +185,8 @@ def cmd_decide(args: argparse.Namespace) -> _View:
     alpha = args.alpha
     wide_level = 1.0 - alpha
     narrow_level = max(1.0 - 2.0 * alpha, 0.0)
-    ci_wide = confidence_interval(result, wide_level)
-    ci_narrow = (
-        confidence_interval(result, narrow_level)
-        if narrow_level > 0.0
-        else (result.estimate, result.estimate)
-    )
+    regions = decision_regions(result.null, alpha)
+    ci_wide, ci_narrow = regions.nested_intervals(result.estimate, result.se)
     decisions = {
         "five_decision": five_decision(result.t_stat, result.null, alpha),
         "kaiser": kaiser_decision(result.t_stat, result.null, alpha),

@@ -17,8 +17,11 @@ interval positions), plus the two classical mergers of the partition:
 the directional two-sided procedure (each one-sided test at level a/2,
 verdicts {1,3,5}) and the two one-sided procedure run at full level a
 under the premise that theta = theta0 is impossible (verdicts
-{2,3,4}).  Significance levels up to 0.5 are accepted; at exactly 0.5
-the no-rejection region collapses to the single point q_{0.5}.
+{2,3,4}).  All of them, the nested intervals and the Wald power
+formulas read one set of boundaries, which decision_regions solves
+once per (null, alpha) and caches.  Significance levels up to 0.5
+are accepted; at exactly 0.5 the no-rejection region collapses to the
+single point q_{0.5}.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .distributions import NullDistribution, quantile
-from .stattests import TestResult, confidence_interval
+from .stattests import TestResult
 
 __all__ = [
     "Hypothesis",
@@ -127,6 +130,12 @@ class DecisionRegions:
             for i, lo, hi, lc, uc in spans
         ]
 
+    def nested_intervals(self, estimate: float, se: float) -> tuple[tuple, tuple]:
+        """The (1-alpha) and (1-2*alpha) intervals, estimate -+ q*se."""
+        _, _, q3, q4 = self.boundaries
+        wide = (estimate - q4 * se, estimate + q4 * se)
+        return wide, (estimate - q3 * se, estimate + q3 * se)
+
 
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
@@ -144,15 +153,12 @@ def _check_t(t_stat: float) -> float:
 
 @functools.lru_cache(maxsize=512)
 def decision_regions(null: NullDistribution, alpha: float) -> DecisionRegions:
-    # Cached: the result is immutable and every decision engine needs
-    # the same four quantiles over and over.
+    # Cached: the result is immutable and every engine reads it.  The
+    # lower two mirror the upper two; 0.0 - q keeps +0.0 at alpha = 0.5.
     alpha = _check_alpha(alpha)
-    boundaries = (
-        quantile(null, alpha / 2.0),
-        quantile(null, alpha),
-        quantile(null, 1.0 - alpha),
-        quantile(null, 1.0 - alpha / 2.0),
-    )
+    q3 = quantile(null, 1.0 - alpha)
+    q4 = quantile(null, 1.0 - alpha / 2.0)
+    boundaries = (0.0 - q4, 0.0 - q3, q3, q4)
     return DecisionRegions(alpha=alpha, boundaries=boundaries, null=null)
 
 
@@ -221,23 +227,17 @@ def five_decision_via_ci(r: TestResult, theta0: float, alpha: float) -> Decision
     estimate.  Larger statistics push theta0 below the intervals, so
     the ladder runs from decision 5 upward.
     """
-    alpha = _check_alpha(alpha)
+    wide, narrow = decision_regions(r.null, alpha).nested_intervals(r.estimate, r.se)
     theta0 = float(theta0)
     if not math.isfinite(theta0):
         raise ValueError("theta0 must be finite")
-    lo_wide, hi_wide = confidence_interval(r, 1.0 - alpha)
-    narrow_level = 1.0 - 2.0 * alpha
-    if narrow_level > 0.0:
-        lo_narrow, hi_narrow = confidence_interval(r, narrow_level)
-    else:
-        lo_narrow = hi_narrow = r.estimate
-    if theta0 < lo_wide:
+    if theta0 < wide[0]:
         return Decision.from_index(5)
-    if theta0 < lo_narrow:
+    if theta0 < narrow[0]:
         return Decision.from_index(4)
-    if theta0 <= hi_narrow:
+    if theta0 <= narrow[1]:
         return Decision.from_index(3)
-    if theta0 <= hi_wide:
+    if theta0 <= wide[1]:
         return Decision.from_index(2)
     return Decision.from_index(1)
 

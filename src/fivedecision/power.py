@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
-from .decisions import Hypothesis, _check_alpha
+from .decisions import Hypothesis, _check_alpha, decision_regions
 from .distributions import cdf, quantile, standard_normal
 
 __all__ = [
@@ -105,20 +105,16 @@ class SampleSizeResult:
 
 def power_wald(spec: PowerSpec) -> float:
     """Probability of the targeted rejection at the given effect."""
-    if spec.target in (Hypothesis.H1, Hypothesis.H5):
-        z = quantile(_NORMAL, spec.alpha / 2.0)
-    else:
-        z = quantile(_NORMAL, spec.alpha)
+    q1, q2, _, _ = decision_regions(_NORMAL, spec.alpha).boundaries
+    z = q1 if spec.target in (Hypothesis.H1, Hypothesis.H5) else q2
     if spec.target in (Hypothesis.H1, Hypothesis.H2):
         return cdf(_NORMAL, z - spec.effect)
     return cdf(_NORMAL, z + spec.effect)
 
 
 def _z_pair(inputs: SampleSizeInputs, strict: bool) -> tuple[float, float]:
-    if strict:
-        z_alpha = quantile(_NORMAL, 1.0 - inputs.alpha)
-    else:
-        z_alpha = quantile(_NORMAL, 1.0 - inputs.alpha / 2.0)
+    _, _, q3, q4 = decision_regions(_NORMAL, inputs.alpha).boundaries
+    z_alpha = q3 if strict else q4
     z_psi = quantile(_NORMAL, inputs.psi)
     if z_alpha + z_psi <= 0.0:
         # Otherwise the formula asks for a nonpositive sample.
@@ -134,8 +130,12 @@ def sample_size(inputs: SampleSizeInputs, strict: bool = False) -> SampleSizeRes
     (z_{1-alpha}), which always needs fewer observations.
     """
     z_alpha, z_psi = _z_pair(inputs, strict)
-    n_exact = (z_alpha + z_psi) ** 2 * inputs.tau**2 / inputs.delta**2
-    return SampleSizeResult(n_exact=n_exact, n=math.ceil(n_exact))
+    try:
+        n_exact = (z_alpha + z_psi) ** 2 * inputs.tau**2 / inputs.delta**2
+        return SampleSizeResult(n_exact=n_exact, n=math.ceil(n_exact))
+    except (OverflowError, ZeroDivisionError):
+        msg = f"sample size for delta={inputs.delta!r}, tau={inputs.tau!r} is out of range"
+        raise ValueError(msg) from None
 
 
 def reduction(alpha: float, psi: float) -> float:

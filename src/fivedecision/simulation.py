@@ -239,7 +239,7 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             for counts in pool.map(_simulate_chunk, tasks):
                 totals += counts
 

@@ -79,7 +79,9 @@ def _pooled_t(
         raise ValueError("theta0 must be finite")
     (n_a, mean_a, sd_a), (n_b, mean_b, sd_b) = a, b
     df = n_a + n_b - 2
-    pooled_var = ((n_a - 1) * sd_a**2 + (n_b - 1) * sd_b**2) / df
+    pooled_var = ((n_a - 1) * (sd_a * sd_a) + (n_b - 1) * (sd_b * sd_b)) / df
+    if not math.isfinite(pooled_var):
+        raise ValueError("pooled variance overflows: the data spread is too large")
     if pooled_var <= 0:
         raise DegenerateDataError("no within-group variance in either group")
     se = math.sqrt(pooled_var) * math.sqrt(1.0 / n_a + 1.0 / n_b)

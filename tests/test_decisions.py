@@ -1,12 +1,14 @@
 """Decision engine checks: the worked example, boundary pattern,
-formulation equivalence, and the merge structure of the classical
-procedures."""
+formulation equivalence, the merge structure of the classical
+procedures, and the one cached boundary solve they all read."""
 
 import math
 
 import numpy as np
 import pytest
 
+from fivedecision import decisions, power, stattests
+from fivedecision.cli import main
 from fivedecision.decisions import (
     Decision,
     Hypothesis,
@@ -18,7 +20,13 @@ from fivedecision.decisions import (
     kaiser_decision,
 )
 from fivedecision.distributions import quantile, standard_normal, student_t
-from fivedecision.stattests import GroupSummary, two_sample_t, wald
+from fivedecision.power import PowerSpec, SampleSizeInputs, power_wald, sample_size
+from fivedecision.stattests import (
+    GroupSummary,
+    confidence_interval,
+    two_sample_t,
+    wald,
+)
 
 T18 = student_t(18)
 NORMAL = standard_normal()
@@ -256,3 +264,70 @@ class TestDecisionRegions:
             assert left.upper_closed != right.lower_closed
         assert spans[2].rejected is Hypothesis.NONE
         assert spans[3].rejected is Hypothesis.H4
+
+
+class TestBoundariesSolvedOnce:
+    """decision_regions is the one place that turns alpha into
+    quantiles; the CI oracle, the CLI intervals and Wald power read its
+    cached boundaries."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def counting_quantile(null, p):
+            calls.append(p)
+            return quantile(null, p)
+
+        for module in (decisions, power, stattests):
+            monkeypatch.setattr(module, "quantile", counting_quantile)
+        decision_regions.cache_clear()
+        return calls
+
+    def test_cold_regions_solve_two_quantiles(self, solves):
+        decision_regions(T18, 0.05)
+        assert solves == [0.95, 0.975]
+
+    def test_warm_consumers_solve_nothing(self, solves, capsys):
+        decision_regions(T18, 0.05)
+        decision_regions(NORMAL, 0.05)
+        solves.clear()
+        five_decision_via_ci(CHICK, 0.0, 0.05)
+        assert main(["decide", "--summary", "10,205.6,65.2,10,258.9,70.3"]) == 0
+        for target in (Hypothesis.H1, Hypothesis.H2, Hypothesis.H4, Hypothesis.H5):
+            power_wald(PowerSpec(0.05, 0.0, target))
+        assert solves == []
+        assert "decision 4" in capsys.readouterr().out
+
+    def test_warm_sample_size_solves_only_the_power_quantile(self, solves):
+        decision_regions(NORMAL, 0.05)
+        solves.clear()
+        sample_size(SampleSizeInputs(alpha=0.05, psi=0.8, delta=1.0, tau=1.0))
+        assert solves == [0.8]
+
+    @pytest.mark.parametrize("null", [NORMAL, T18, student_t(1), student_t(1e6)])
+    def test_lower_boundaries_mirror_the_upper_bitwise(self, null):
+        for alpha in (1e-8, 0.001, 0.01, 0.05, 0.1, 0.3, 0.49):
+            q1, q2, q3, q4 = decision_regions(null, alpha).boundaries
+            assert q1.hex() == (-q4).hex() == quantile(null, alpha / 2.0).hex()
+            assert q2.hex() == (-q3).hex() == quantile(null, alpha).hex()
+
+    def test_middle_boundaries_are_positive_zero_at_half(self):
+        for null in (NORMAL, T18):
+            _, q2, q3, _ = decision_regions(null, 0.5).boundaries
+            assert math.copysign(1.0, q2) == math.copysign(1.0, q3) == 1.0
+
+
+class TestNestedIntervals:
+    @pytest.mark.parametrize("alpha", [0.10, 0.05, 0.01, 0.005])
+    def test_equal_confidence_interval_at_round_levels(self, alpha):
+        wide, narrow = decision_regions(CHICK.null, alpha).nested_intervals(
+            CHICK.estimate, CHICK.se
+        )
+        assert wide == confidence_interval(CHICK, 1.0 - alpha)
+        assert narrow == confidence_interval(CHICK, 1.0 - 2.0 * alpha)
+
+    def test_narrow_interval_is_the_estimate_at_half(self):
+        wide, narrow = decision_regions(T18, 0.5).nested_intervals(1.25, 2.0)
+        assert narrow == (1.25, 1.25)
+        assert wide[0] < 1.25 < wide[1]

@@ -314,3 +314,30 @@ class TestValidation:
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             run_simulation(BASE, workers=0)
+
+    @pytest.mark.parametrize("workers, pool_size", [(2, 2), (64, 3)])
+    def test_pool_never_larger_than_task_count(self, monkeypatch, workers, pool_size):
+        # An inline stand-in for the pool records its size and runs
+        # every task here, so no worker process is ever started.
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cfg = dataclasses.replace(BASE, trials=2 * _CHUNK_TRIALS + 5)
+        report = run_simulation(cfg, workers=workers)
+        assert sizes == [pool_size]
+        assert report == run_simulation(cfg, workers=1)
