@@ -609,7 +609,7 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateDataError as exc:
         print(f"error: degenerate data: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":

@@ -141,6 +141,8 @@ def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not 0.0 < alpha <= 0.5:
         raise ValueError(f"alpha must lie in (0, 0.5], got {alpha!r}")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ValueError(f"alpha {alpha!r} is too small: 1 - alpha/2 rounds to 1")
     return alpha
 
 

@@ -1,12 +1,16 @@
 """Null distributions for test statistics: standard normal and Student t.
 
 Provides the cumulative distribution function, quantile function, and
-density used everywhere else in the package.  The implementation is
-dependency-free: the normal CDF goes through ``math.erfc`` and the
-Student t CDF through the regularized incomplete beta function,
-evaluated with a modified Lentz continued fraction.  Quantiles come
-from a bracketed Newton iteration on the CDF, so they hold for any
-positive degrees of freedom, including df=1.
+density used everywhere else in the package, free of dependencies.  One
+private function computes every tail probability P(T > t), t >= 0, to
+relative accuracy: ``math.erfc`` for the normal and, for Student t, the
+regularized incomplete beta function by a modified Lentz continued
+fraction, with x = df/(df + t^2) and 1 - x formed in logs (t^2 never
+is).  ``cdf`` and the p-values read it directly.  A quantile for p > 1/2
+solves tail(q) = 1 - p by bracket doubling and Newton steps, and one for
+p < 1/2 is its negated mirror.  The solver raises OverflowError when the
+quantile lies beyond the float range (Student t at small df) and
+ArithmeticError when it does not converge.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LN_SQRT_PI = 0.5 * math.log(math.pi)  # lgamma(0.5)
 
-# Quantile solver: converge to this absolute error in probability.
-_P_TOL = 1e-13
+# Quantile solver: stop once a step moves x by less than this fraction.
+_REL_TOL = 4e-12
 _MAX_NEWTON = 200
 
 
@@ -72,16 +76,15 @@ def _lgamma_half_shift(a: float) -> float:
         return math.lgamma(a + 0.5) - math.lgamma(a)
     d = 0.5 * math.log(a) + a * math.log1p(0.5 / a) - 0.5
     d -= 1.0 / (24.0 * a * (a + 0.5))
-    a3 = a * a * a
-    b3 = (a + 0.5) ** 3
-    d += (b3 - a3) / (360.0 * a3 * b3)
+    d += (a**-3 - (a + 0.5) ** -3) / 360.0
     return d
 
 
 def _betacf(a: float, b: float, x: float) -> float:
-    # Continued fraction for the incomplete beta function (modified
-    # Lentz).  Converges in a few dozen iterations for the (a, b, x)
-    # reachable from the t CDF; 500 is a hard safety stop.
+    # Continued fraction of I_x(a, b), i.e. of 2F1(a + b, 1; a + 1; x),
+    # by modified Lentz.  Converges in a few dozen iterations for the
+    # (a, b, x) reachable from the t tail, including its Pfaff form with
+    # b = 1/2 - a and x < 0; 500 is a hard safety stop.
     maxit = 500
     eps = 1e-15
     tiny = 1e-300
@@ -96,25 +99,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, maxit + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) / (qam + m2) * (x / (a + m2))
+        odd = -(a + m) / (a + m2) * ((qab + m) / (qap + m2)) * x
+        for aa in (even, odd):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             return h
     raise ArithmeticError(
@@ -122,26 +118,36 @@ def _betacf(a: float, b: float, x: float) -> float:
     )
 
 
-def _student_upper_tail(t: float, df: float) -> float:
-    # P(T > t) for t >= 0, equal to 0.5 * I_x(df/2, 1/2) with
-    # x = df/(df + t^2).  The complement t^2/(df + t^2) is formed
-    # directly, never as 1 - x, to keep accuracy at large df.
-    if t == 0.0:
-        return 0.5
-    tt = t * t
-    x = df / (df + tt)
-    xc = tt / (df + tt)
-    a = 0.5 * df
-    b = 0.5
-    ln_front = (
-        _lgamma_half_shift(a)
-        - _LN_SQRT_PI
-        - a * math.log1p(tt / df)
-        + b * math.log(xc)
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        return 0.5 * math.exp(ln_front) * _betacf(a, b, x) / a
-    return 0.5 * (1.0 - math.exp(ln_front) * _betacf(b, a, xc) / b)
+def _beta_logs(t: float, df: float) -> tuple[float, float]:
+    # ln x and ln(1 - x) for x = df/(df + t^2) = 1/(1 + u^2), u = |t|/sqrt(df),
+    # formed from u so that nothing overflows; ln(1 - x) is -inf at u = 0.
+    u = abs(t) / math.sqrt(df)
+    if u < 1.0:
+        ln_x = -math.log1p(u * u)
+        return ln_x, (2.0 * math.log(u) + ln_x if u > 0.0 else -math.inf)
+    ln_u = math.log(u) if u < math.inf else math.log(abs(t)) - 0.5 * math.log(df)
+    ln_xc = -math.log1p(1.0 / (u * u))
+    return ln_xc - 2.0 * ln_u, ln_xc
+
+
+def _upper_tail(d: NullDistribution, t: float) -> float:
+    # P(T > t) for t >= 0, to relative accuracy.  For Student t this is
+    # 0.5 * I_x(a, 1/2) with a = df/2.  Near the median it is read as
+    # 0.5 * (1 - I_{1-x}(1/2, a)), whose fraction converges in a few
+    # steps there but loses digits as the tail shrinks.  So from three
+    # times the textbook switch point 1 - x = (b + 1)/(a + b + 2) (tails
+    # below ~1e-3), or from 1 - x = 1/2, I_x is read from its Pfaff
+    # transform in -z = -x/(1 - x), whose terms are all positive: nothing
+    # cancels even where x rounds to 1.
+    if d.kind is Kind.STANDARD_NORMAL:
+        return 0.5 * math.erfc(t / _SQRT2)
+    a, b = 0.5 * d.df, 0.5
+    ln_x, ln_xc = _beta_logs(t, d.df)
+    front = math.exp(_lgamma_half_shift(a) - _LN_SQRT_PI + a * ln_x + b * ln_xc)
+    xc = math.exp(ln_xc)
+    if xc >= 0.5 or xc * (a + b + 2.0) >= 3.0 * (b + 1.0):
+        return 0.5 * front * _betacf(a, 1.0 - b - a, -math.exp(ln_x - ln_xc)) / (a * xc)
+    return 0.5 * (1.0 - front * _betacf(b, a, xc) / b)
 
 
 def cdf(d: NullDistribution, t: float) -> float:
@@ -149,13 +155,7 @@ def cdf(d: NullDistribution, t: float) -> float:
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    if d.kind is Kind.STANDARD_NORMAL:
-        return 0.5 * math.erfc(-t / _SQRT2)
-    if t > 0.0:
-        return 1.0 - _student_upper_tail(t, d.df)
-    if t < 0.0:
-        return _student_upper_tail(-t, d.df)
-    return 0.5
+    return _upper_tail(d, -t) if t < 0.0 else 1.0 - _upper_tail(d, t)
 
 
 def density(d: NullDistribution, t: float) -> float:
@@ -166,8 +166,8 @@ def density(d: NullDistribution, t: float) -> float:
     if d.kind is Kind.STANDARD_NORMAL:
         return _INV_SQRT_2PI * math.exp(-0.5 * t * t)
     df = d.df
-    ln_c = _lgamma_half_shift(0.5 * df) - 0.5 * math.log(df * math.pi)
-    return math.exp(ln_c - 0.5 * (df + 1.0) * math.log1p(t * t / df))
+    ln_c = _lgamma_half_shift(0.5 * df) - _LN_SQRT_PI - 0.5 * math.log(df)
+    return math.exp(ln_c + 0.5 * (df + 1.0) * _beta_logs(t, df)[0])
 
 
 def quantile(d: NullDistribution, p: float) -> float:
@@ -184,33 +184,26 @@ def quantile(d: NullDistribution, p: float) -> float:
     if p < 0.5:
         return -quantile(d, 1.0 - p)
 
-    # Bracket [lo, hi] with cdf(lo) <= p <= cdf(hi); lo starts at the
-    # median and hi doubles until it passes p.
-    lo = 0.0
-    hi = 1.0
-    while cdf(d, hi) < p:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e300:
-            raise ArithmeticError(f"quantile bracket expansion failed at p={p}")
+    # Solve _upper_tail(x) = tail, exact as 1 - p for p >= 1/2, in the
+    # bracket [lo, hi]: lo starts at the median and hi doubles until
+    # its tail drops to the target.
+    tail = 1.0 - p
+    lo, hi = 0.0, 1.0
+    while _upper_tail(d, hi) > tail:
+        lo, hi = hi, 2.0 * hi
+        if hi == math.inf:
+            raise OverflowError(f"the quantile at p={p!r}, df={d.df!r} exceeds the float range")
 
     x = 0.5 * (lo + hi)
     for _ in range(_MAX_NEWTON):
-        fx = cdf(d, x) - p
-        if abs(fx) <= _P_TOL:
-            return x
+        fx = _upper_tail(d, x) - tail
         if fx > 0.0:
-            hi = x
-        else:
             lo = x
+        else:
+            hi = x
         pdf = density(d, x)
-        step_ok = pdf > 0.0
-        if step_ok:
-            nxt = x - fx / pdf
-            step_ok = lo < nxt < hi
-        if not step_ok:
-            nxt = 0.5 * (lo + hi)
-        if nxt == x:
-            return x
-        x = nxt
-    return x
+        nxt = x + fx / pdf if pdf > 0.0 else 0.5 * (lo + hi)  # density underflow
+        if abs(nxt - x) <= _REL_TOL * x:
+            return nxt
+        x = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    raise ArithmeticError(f"quantile at p={p!r} did not converge in {_MAX_NEWTON} steps")

@@ -132,10 +132,12 @@ def sample_size(inputs: SampleSizeInputs, strict: bool = False) -> SampleSizeRes
     z_alpha, z_psi = _z_pair(inputs, strict)
     try:
         n_exact = (z_alpha + z_psi) ** 2 * inputs.tau**2 / inputs.delta**2
-        return SampleSizeResult(n_exact=n_exact, n=math.ceil(n_exact))
+        if n_exact > 0.0:  # an underflow to 0 is out of range as well
+            return SampleSizeResult(n_exact=n_exact, n=math.ceil(n_exact))
     except (OverflowError, ZeroDivisionError):
-        msg = f"sample size for delta={inputs.delta!r}, tau={inputs.tau!r} is out of range"
-        raise ValueError(msg) from None
+        pass
+    msg = f"sample size for delta={inputs.delta!r}, tau={inputs.tau!r} is out of range"
+    raise ValueError(msg)
 
 
 def reduction(alpha: float, psi: float) -> float:

@@ -66,7 +66,9 @@ class TestResult:
 
 def _result(estimate: float, se: float, theta0: float, null: NullDistribution) -> TestResult:
     t_stat = (estimate - theta0) / se
-    p = 2.0 * (1.0 - cdf(null, abs(t_stat)))
+    if not math.isfinite(t_stat):
+        raise ValueError(f"the test statistic overflows (estimate {estimate!r}, se {se!r})")
+    p = 2.0 * cdf(null, -abs(t_stat))
     return TestResult(t_stat=t_stat, null=null, p_two_sided=p, estimate=estimate, se=se)
 
 

@@ -101,6 +101,18 @@ class TestFiveDecision:
         with pytest.raises(ValueError):
             five_decision(math.inf, NORMAL, 0.05)
 
+    @pytest.mark.parametrize("alpha", [1e-17, 2.0**-54, 5e-324])
+    def test_alpha_below_resolution_named(self, alpha):
+        # 1 - alpha/2 rounds to 1: refused with the alpha given, not with
+        # the quantile's p = 1.0.
+        with pytest.raises(ValueError, match=f"alpha {alpha!r} is too small"):
+            decision_regions(NORMAL, alpha)
+
+    def test_smallest_resolved_alpha_accepted(self):
+        alpha = 2.0**-52
+        assert 1.0 - alpha / 2.0 < 1.0
+        assert decision_regions(NORMAL, alpha).boundaries[3] > 8.0
+
     def test_side_never_flips_as_alpha_grows(self):
         rng = np.random.default_rng(21)
         for _ in range(300):

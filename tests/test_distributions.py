@@ -3,10 +3,14 @@ integration oracle for the t CDF."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from fivedecision import distributions
 from fivedecision.distributions import (
     Kind,
     NullDistribution,
@@ -25,6 +29,20 @@ SYMMETRY_ATOL = 1e-10
 INTEGRATION_ATOL = 1e-8
 
 ROUNDTRIP_DFS = [1, 2, 5, 18, 98, 124, 1000]
+
+# Relative error bounds against scipy, for df from 0.5 to 1e7.
+T_QUANTILE_RTOL = 1e-10
+NORMAL_QUANTILE_RTOL = 1e-11
+P_VALUE_RTOL = 1e-10
+# Next to the median the quantile solves P(T > q) = 1 - p with 1 - p
+# a few ulps below 0.5, where the tail is resolved only to ulp(0.5);
+# so a quantile under ~1e-6 is held to an absolute bound instead.
+QUANTILE_ATOL = 1e-15
+
+# Seeded, deadline-free property runs: the same examples on every run.
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
+DFS = st.floats(min_value=0.5, max_value=1e7)
+TAILS = st.floats(min_value=1e-14, max_value=0.5, exclude_max=True)
 
 
 class TestConstruction:
@@ -83,6 +101,12 @@ class TestStudentCdf:
     def test_half_at_zero(self):
         assert cdf(student_t(18), 0.0) == 0.5
 
+    @pytest.mark.parametrize("t", [1e-170, 1e-300, 5e-324, -5e-324])
+    def test_half_at_tiny_t(self, t):
+        # t * t underflows to 0 from |t| ~ 1e-162 on; the tail must not
+        # take the log of that 0.
+        assert cdf(student_t(5), t) == 0.5
+
     def test_symmetry(self):
         d = student_t(7.5)
         for t in (0.1, 0.9, 2.2, 5.0, 11.0):
@@ -104,6 +128,22 @@ class TestStudentCdf:
             mine = cdf(student_t(df), t)
             ref = float(stats.t.cdf(t, df))
             assert mine == pytest.approx(ref, abs=T_CDF_ATOL)
+
+    @PROPERTY
+    @given(df=DFS, t=st.floats(min_value=0.0, max_value=40.0))
+    def test_lower_tail_relative_to_scipy(self, df, t):
+        # cdf(-t) is the tail itself, never a difference of two numbers
+        # near 1, so it holds relative accuracy far into the tail.
+        ref = float(stats.t.sf(t, df))
+        assert cdf(student_t(df), -t) == pytest.approx(ref, rel=P_VALUE_RTOL, abs=1e-300)
+
+    def test_tail_where_t_squared_overflows(self):
+        # At df=1e-3 the tail is still 0.35 at t = 1e160, where t * t
+        # overflows and scipy's t.sf reads 0; mpmath is the oracle.
+        df, t = 1e-3, 1e160
+        x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
+        ref = float(mpmath.betainc(df / 2, 0.5, 0, x, regularized=True) / 2)
+        assert cdf(student_t(df), -t) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_rejects_non_finite(self):
         for bad in (math.inf, -math.inf, math.nan):
@@ -179,6 +219,58 @@ class TestQuantile:
         for p in (0.0, 1.0, -0.2, 1.5, math.nan):
             with pytest.raises(ValueError):
                 quantile(d, p)
+
+    @PROPERTY
+    @given(df=DFS, tail=TAILS)
+    def test_student_relative_to_scipy(self, df, tail):
+        # 1 - p, not the drawn tail: forming p = 1 - tail rounds.
+        p = 1.0 - tail
+        ref = float(stats.t.isf(1.0 - p, df))
+        q = quantile(student_t(df), p)
+        assert q == pytest.approx(ref, rel=T_QUANTILE_RTOL, abs=QUANTILE_ATOL)
+
+    @PROPERTY
+    @given(tail=TAILS)
+    def test_normal_relative_to_scipy(self, tail):
+        p = 1.0 - tail
+        ref = float(stats.norm.isf(1.0 - p))
+        q = quantile(standard_normal(), p)
+        assert q == pytest.approx(ref, rel=NORMAL_QUANTILE_RTOL, abs=QUANTILE_ATOL)
+
+    @pytest.mark.parametrize(
+        "df, tail",
+        [
+            (0.0145, 1.7e-5),
+            (0.02, 0.01),
+            (0.05, 1e-6),
+            (0.1, 1e-12),
+            (0.3, 1e-14),
+            (0.0499, 1.8e-16),
+        ],
+    )
+    def test_small_df_relative_to_mpmath(self, df, tail):
+        # scipy's t.sf reads 0 beyond t ~ 1e154, where these quantiles
+        # lie; mpmath gives the relative error of q to first order.  At
+        # the last point the density underflows and the solver bisects.
+        p = 1.0 - tail
+        q = mpmath.mpf(quantile(student_t(df), p))
+        half_df = mpmath.mpf(df) / 2
+        x = df / (df + q * q)
+        sf = mpmath.betainc(half_df, 0.5, 0, x, regularized=True) / 2
+        norm = mpmath.sqrt(df) * mpmath.beta(half_df, 0.5)
+        pdf = (1 + q * q / df) ** (-half_df - 0.5) / norm
+        assert abs(float((sf - (1.0 - p)) / (q * pdf))) <= T_QUANTILE_RTOL
+
+    def test_beyond_float_range_raises(self):
+        # The 0.9 quantile at df=1e-3 is past 1e308; the old solver
+        # returned a collapsed 4.24e152 here.
+        with pytest.raises(OverflowError):
+            quantile(student_t(1e-3), 0.9)
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_MAX_NEWTON", 1)
+        with pytest.raises(ArithmeticError):
+            quantile(student_t(18), 0.975)
 
 
 class TestDensity:

@@ -168,6 +168,12 @@ class TestSampleSize:
         with pytest.raises(ValueError):
             sample_size(SampleSizeInputs(alpha=0.05, psi=0.01, delta=0.5, tau=1.0))
 
+    def test_underflow_to_zero_is_out_of_range(self):
+        # tau**2 underflows to 0, which would read as a plan of n = 0.
+        inputs = SampleSizeInputs(alpha=0.05, psi=0.8, delta=10.0, tau=math.sqrt(5e-324))
+        with pytest.raises(ValueError, match="out of range"):
+            sample_size(inputs)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             SampleSizeInputs(alpha=0.05, psi=0.8, delta=0.0, tau=1.0)

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from fivedecision.distributions import Kind, cdf, quantile
@@ -30,6 +32,10 @@ CHICK_CI90 = (0.722888330251358, 105.87711166974861)
 
 DIET3 = GroupSummary(10, 258.9, 65.2)
 DIET2 = GroupSummary(10, 205.6, 70.3)
+
+# p-values are tails, so they are compared relatively, far out.
+P_VALUE_RTOL = 1e-10
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
 
 class TestGroupSummary:
@@ -86,6 +92,30 @@ class TestTwoSampleSummary:
     def test_theta0_shift(self):
         r = two_sample_t(DIET3, DIET2, theta0=10.0)
         assert r.t_stat == pytest.approx((53.3 - 10.0) / CHICK_SE, abs=1e-12)
+
+    @PROPERTY
+    @given(
+        n_a=st.integers(min_value=2, max_value=5_000_000),
+        n_b=st.integers(min_value=2, max_value=5_000_000),
+        diff=st.floats(min_value=-40.0, max_value=40.0),
+    )
+    def test_p_value_relative_to_scipy(self, n_a, n_b, diff):
+        r = two_sample_t(GroupSummary(n_a, diff, 1.0), GroupSummary(n_b, 0.0, 1.0))
+        ref = 2.0 * sps.t.sf(abs(r.t_stat), n_a + n_b - 2)
+        assert r.p_two_sided == pytest.approx(ref, rel=P_VALUE_RTOL, abs=1e-300)
+
+    def test_far_tail_p_value(self):
+        # t = 67 on 18 df: the old 2 * (1 - cdf(|t|)) read 0.
+        far = GroupSummary(10, 67.0 * math.sqrt(0.2), 1.0)
+        r = two_sample_t(far, GroupSummary(10, 0.0, 1.0))
+        assert r.t_stat == pytest.approx(67.0, rel=1e-14)
+        ref = 2.0 * sps.t.sf(r.t_stat, 18)
+        assert r.p_two_sided == pytest.approx(ref, rel=P_VALUE_RTOL, abs=0.0)
+
+    def test_overflowing_estimate_rejected(self):
+        lo, hi = GroupSummary(3, -1e308, 1.0), GroupSummary(3, 1e308, 1.0)
+        with pytest.raises(ValueError, match="overflows .estimate -inf, se"):
+            two_sample_t(lo, hi)
 
     def test_scipy_cross_check_unequal_n(self):
         rng = np.random.default_rng(11)
@@ -165,6 +195,22 @@ class TestWald:
         for se in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 wald(1.0, se, 0.0)
+
+    def test_far_tail_p_value(self):
+        # 2 * (1 - cdf(9)) rounds to 0; the tail itself is 2.26e-19.
+        p = wald(9.0, 1.0).p_two_sided
+        assert p > 0.0
+        assert p == pytest.approx(2.0 * sps.norm.sf(9.0), rel=P_VALUE_RTOL, abs=0.0)
+
+    @PROPERTY
+    @given(z=st.floats(min_value=-37.0, max_value=37.0))
+    def test_p_value_relative_to_scipy(self, z):
+        ref = 2.0 * sps.norm.sf(abs(z))
+        assert wald(z, 1.0).p_two_sided == pytest.approx(ref, rel=P_VALUE_RTOL, abs=0.0)
+
+    def test_overflowing_statistic_rejected(self):
+        with pytest.raises(ValueError, match=r"estimate 1e\+300, se 1e-10"):
+            wald(1e300, 1e-10)
 
 
 class TestConfidenceInterval:
