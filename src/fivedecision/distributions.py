@@ -1,22 +1,21 @@
 """Null distributions for test statistics: standard normal and Student t.
 
-Provides the cumulative distribution function, quantile function, and
-density used everywhere else in the package, free of dependencies.  One
-private function computes every tail probability P(T > t), t >= 0, to
-relative accuracy: ``math.erfc`` for the normal and, for Student t, the
-regularized incomplete beta function by a modified Lentz continued
-fraction, with x = df/(df + t^2) and 1 - x formed in logs (t^2 never
-is).  ``cdf`` and the p-values read it directly.  A quantile for p > 1/2
-solves tail(q) = 1 - p by bracket doubling and Newton steps, and one for
-p < 1/2 is its negated mirror.  The solver raises OverflowError when the
-quantile lies beyond the float range (Student t at small df) and
-ArithmeticError when it does not converge.
+CDF, quantile and density, free of dependencies.  One private function
+returns every tail probability P(T > t), t >= 0, to relative accuracy,
+with its log-slope t f(t) / P(T > t): from ``math.erfc`` for the normal,
+from a continued fraction for the incomplete beta function for Student t.
+A quantile for p > 1/2 solves tail(q) = 1 - p by Newton steps in ln q from
+the Chernoff bound, in 4-6 tail evaluations at alphas 0.005 to 0.1 and at
+most 21 over df 1e-3 to 1e10; one for p < 1/2 is its negated mirror.  It
+raises OverflowError when the quantile lies beyond the float range
+(Student t at small df) and ArithmeticError when it does not converge.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -36,6 +35,7 @@ _LN_SQRT_PI = 0.5 * math.log(math.pi)  # lgamma(0.5)
 # Quantile solver: stop once a step moves x by less than this fraction.
 _REL_TOL = 4e-12
 _MAX_NEWTON = 200
+_MAX_FLOAT = sys.float_info.max
 
 
 class Kind(enum.Enum):
@@ -130,24 +130,27 @@ def _beta_logs(t: float, df: float) -> tuple[float, float]:
     return ln_xc - 2.0 * ln_u, ln_xc
 
 
-def _upper_tail(d: NullDistribution, t: float) -> float:
-    # P(T > t) for t >= 0, to relative accuracy.  For Student t this is
-    # 0.5 * I_x(a, 1/2) with a = df/2.  Near the median it is read as
-    # 0.5 * (1 - I_{1-x}(1/2, a)), whose fraction converges in a few
-    # steps there but loses digits as the tail shrinks.  So from three
-    # times the textbook switch point 1 - x = (b + 1)/(a + b + 2) (tails
-    # below ~1e-3), or from 1 - x = 1/2, I_x is read from its Pfaff
-    # transform in -z = -x/(1 - x), whose terms are all positive: nothing
-    # cancels even where x rounds to 1.
+def _upper_tail(d: NullDistribution, t: float) -> tuple[float, float]:
+    # P(T > t) for t >= 0, to relative accuracy, and the log-slope
+    # t * f(t) / P(T > t) (+inf where the tail underflows).  For Student t
+    # the tail is 0.5 * I_x(a, 1/2), a = df/2, and t * f(t) is `front`.
+    # Near the median I_x is 1 - I_{1-x}(1/2, a), whose fraction converges
+    # fast there but loses digits as the tail shrinks; so from three times
+    # the textbook switch point 1 - x = (b + 1)/(a + b + 2) (tails < ~1e-3),
+    # or from 1 - x = 1/2, I_x is read from its Pfaff transform in -x/(1 - x),
+    # whose terms are all positive, and the slope is not divided by the tail.
     if d.kind is Kind.STANDARD_NORMAL:
-        return 0.5 * math.erfc(t / _SQRT2)
+        tail = 0.5 * math.erfc(t / _SQRT2)
+        return tail, (t * _INV_SQRT_2PI * math.exp(-0.5 * t * t) / tail if tail else math.inf)
     a, b = 0.5 * d.df, 0.5
     ln_x, ln_xc = _beta_logs(t, d.df)
     front = math.exp(_lgamma_half_shift(a) - _LN_SQRT_PI + a * ln_x + b * ln_xc)
     xc = math.exp(ln_xc)
     if xc >= 0.5 or xc * (a + b + 2.0) >= 3.0 * (b + 1.0):
-        return 0.5 * front * _betacf(a, 1.0 - b - a, -math.exp(ln_x - ln_xc)) / (a * xc)
-    return 0.5 * (1.0 - front * _betacf(b, a, xc) / b)
+        cf = _betacf(a, 1.0 - b - a, -math.exp(ln_x - ln_xc))
+        return 0.5 * front * cf / (a * xc), 2.0 * a * xc / cf
+    tail = 0.5 * (1.0 - front * _betacf(b, a, xc) / b)
+    return tail, front / tail
 
 
 def cdf(d: NullDistribution, t: float) -> float:
@@ -155,7 +158,7 @@ def cdf(d: NullDistribution, t: float) -> float:
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    return _upper_tail(d, -t) if t < 0.0 else 1.0 - _upper_tail(d, t)
+    return _upper_tail(d, -t)[0] if t < 0.0 else 1.0 - _upper_tail(d, t)[0]
 
 
 def density(d: NullDistribution, t: float) -> float:
@@ -182,28 +185,23 @@ def quantile(d: NullDistribution, p: float) -> float:
     if p == 0.5:
         return 0.0
     if p < 0.5:
+        if 1.0 - p == 1.0:
+            raise ValueError(f"p {p!r} is too small: 1 - p rounds to 1")
         return -quantile(d, 1.0 - p)
 
-    # Solve _upper_tail(x) = tail, exact as 1 - p for p >= 1/2, in the
-    # bracket [lo, hi]: lo starts at the median and hi doubles until
-    # its tail drops to the target.
-    tail = 1.0 - p
-    lo, hi = 0.0, 1.0
-    while _upper_tail(d, hi) > tail:
-        lo, hi = hi, 2.0 * hi
-        if hi == math.inf:
-            raise OverflowError(f"the quantile at p={p!r}, df={d.df!r} exceeds the float range")
-
-    x = 0.5 * (lo + hi)
+    # Newton steps on ln tail against ln x, concave for both nulls: from the
+    # Chernoff start every step after the first lands at or above the root.
+    target = 1.0 - p
+    x = math.sqrt(-2.0 * math.log(2.0 * target))
     for _ in range(_MAX_NEWTON):
-        fx = _upper_tail(d, x) - tail
-        if fx > 0.0:
-            lo = x
-        else:
-            hi = x
-        pdf = density(d, x)
-        nxt = x + fx / pdf if pdf > 0.0 else 0.5 * (lo + hi)  # density underflow
+        tail, slope = _upper_tail(d, x)
+        if x == _MAX_FLOAT and tail > target:
+            raise OverflowError(f"the quantile at p={p!r}, df={d.df!r} exceeds the float range")
+        if slope == 0.0:  # at df < ~1e-15 the tail's rounding near 1/2 can swamp its slope
+            raise ArithmeticError(f"quantile at p={p!r} did not converge: the tail is flat at {x!r}")
+        step = math.log1p((tail - target) / target) / slope
+        nxt = min(x * math.exp(min(step, 709.0)), _MAX_FLOAT)  # exp(709) is finite
         if abs(nxt - x) <= _REL_TOL * x:
             return nxt
-        x = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        x = nxt
     raise ArithmeticError(f"quantile at p={p!r} did not converge in {_MAX_NEWTON} steps")

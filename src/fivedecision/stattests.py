@@ -137,5 +137,7 @@ def confidence_interval(r: TestResult, level: float) -> tuple[float, float]:
     level = float(level)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie strictly between 0 and 1, got {level!r}")
+    if 1.0 + level == 2.0:
+        raise ValueError(f"level {level!r} is too close to 1: (1 + level)/2 rounds to 1")
     q = quantile(r.null, 0.5 * (1.0 + level))
     return (r.estimate - q * r.se, r.estimate + q * r.se)

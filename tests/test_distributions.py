@@ -2,6 +2,7 @@
 integration oracle for the t CDF."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -81,6 +82,11 @@ class TestNormalCdf:
     def test_rounded_display_value(self):
         # Phi(0.54) prints as 0.7054 at four decimals.
         assert round(cdf(standard_normal(), 0.54), 4) == 0.7054
+
+    def test_underflowed_tail(self):
+        # erfc underflows to 0 past z ~ 38.5: the tail reads 0, not an error.
+        assert cdf(standard_normal(), -40.0) == 0.0
+        assert cdf(standard_normal(), 40.0) == 1.0
 
 
 class TestStudentCdf:
@@ -220,6 +226,12 @@ class TestQuantile:
             with pytest.raises(ValueError):
                 quantile(d, p)
 
+    @pytest.mark.parametrize("p", [1e-17, 2.0**-54, 5e-324])
+    def test_p_whose_complement_rounds_to_one(self, p):
+        # The lower half is the mirror of 1 - p; the message names p, not 1.0.
+        with pytest.raises(ValueError, match=re.escape(f"p {p!r} is too small: 1 - p rounds to 1")):
+            quantile(standard_normal(), p)
+
     @PROPERTY
     @given(df=DFS, tail=TAILS)
     def test_student_relative_to_scipy(self, df, tail):
@@ -251,7 +263,8 @@ class TestQuantile:
     def test_small_df_relative_to_mpmath(self, df, tail):
         # scipy's t.sf reads 0 beyond t ~ 1e154, where these quantiles
         # lie; mpmath gives the relative error of q to first order.  At
-        # the last point the density underflows and the solver bisects.
+        # the last point (q = 5.3e306) the density underflows to 0, while
+        # the tail's log-slope stays finite.
         p = 1.0 - tail
         q = mpmath.mpf(quantile(student_t(df), p))
         half_df = mpmath.mpf(df) / 2
@@ -271,6 +284,81 @@ class TestQuantile:
         monkeypatch.setattr(distributions, "_MAX_NEWTON", 1)
         with pytest.raises(ArithmeticError):
             quantile(student_t(18), 0.975)
+
+    @pytest.mark.parametrize("df", [1e-300, 1e-74])
+    def test_flat_tail_raises(self, df):
+        # Next to 1/2 at tiny df the tail's rounding exceeds its distance
+        # from 1/2, and a step can take x to 0, where the slope vanishes.
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            quantile(student_t(df), 0.5 + 2.0**-53)
+
+
+def _count_tail_calls(monkeypatch):
+    calls = []
+    tail = distributions._upper_tail
+
+    def counted(d, t):
+        calls.append(t)
+        return tail(d, t)
+
+    monkeypatch.setattr(distributions, "_upper_tail", counted)
+    return calls
+
+
+class TestSolverCost:
+    @pytest.mark.parametrize("df", [1, 2, 5, 18, 98, 1e4, 1e6, 1e9, None])
+    @pytest.mark.parametrize("alpha", [0.10, 0.05, 0.01, 0.005])
+    def test_boundary_solves(self, monkeypatch, df, alpha):
+        # The decision boundaries q(1 - a) and q(1 - a/2) at the usual alphas.
+        d = standard_normal() if df is None else student_t(df)
+        calls = _count_tail_calls(monkeypatch)
+        for p in (1.0 - alpha, 1.0 - alpha / 2.0):
+            calls.clear()
+            quantile(d, p)
+            assert len(calls) <= 7
+
+    def test_small_df_far_tail(self, monkeypatch):
+        # q = 1.1e293, about 970 binades above the Chernoff start.
+        calls = _count_tail_calls(monkeypatch)
+        q = quantile(student_t(0.05), 1.0 - 1e-15)
+        assert 1e293 < q < 1.2e293
+        assert len(calls) <= 6
+
+
+SLOPE_DISTS = [standard_normal()] + [
+    student_t(df) for df in (1e-3, 0.05, 0.5, 1, 2, 5, 18, 98, 1e4, 1e6, 1e9)
+]
+SLOPE_TS = [1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0, 1e2, 1e4, 1e10, 1e100]
+
+
+def _name(d):
+    return "normal" if d.df is None else f"t{d.df:g}"
+
+
+class TestTailSlope:
+    # The solver's Newton step reads the second value of _upper_tail, the
+    # log-slope t * f(t) / P(T > t) of the tail.
+
+    @pytest.mark.parametrize("d", SLOPE_DISTS, ids=_name)
+    def test_matches_density(self, d):
+        for t in SLOPE_TS:
+            tail, slope = distributions._upper_tail(d, t)
+            pdf = density(d, t)
+            if min(tail, pdf) < 1e-290:  # subnormal: the reference loses digits
+                continue
+            assert slope == pytest.approx(t * pdf / tail, rel=1e-12)
+
+    @pytest.mark.parametrize("d", SLOPE_DISTS, ids=_name)
+    def test_never_decreases(self, d):
+        # ln tail is concave in ln t, which keeps every Newton step after
+        # the first at or above the root.
+        top = 38.0 if d.kind is Kind.STANDARD_NORMAL else 1e300
+        ts = [t for t in (10.0 ** (k / 10) for k in range(-40, 3001)) if t <= top]
+        slopes = [distributions._upper_tail(d, t)[1] for t in ts]
+        assert all(b >= a * (1.0 - 1e-12) for a, b in zip(slopes, slopes[1:]))
+
+    def test_underflowed_normal_tail(self):
+        assert distributions._upper_tail(standard_normal(), 40.0) == (0.0, math.inf)
 
 
 class TestDensity:

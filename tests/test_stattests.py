@@ -202,6 +202,11 @@ class TestWald:
         assert p > 0.0
         assert p == pytest.approx(2.0 * sps.norm.sf(9.0), rel=P_VALUE_RTOL, abs=0.0)
 
+    def test_underflowed_p_value(self):
+        # The normal tail underflows to 0 past z ~ 38.5; its log-slope
+        # must not turn that into a division by zero.
+        assert wald(60.0, 1.0).p_two_sided == 0.0
+
     @PROPERTY
     @given(z=st.floats(min_value=-37.0, max_value=37.0))
     def test_p_value_relative_to_scipy(self, z):
@@ -255,6 +260,13 @@ class TestConfidenceInterval:
         for level in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(ValueError):
                 confidence_interval(r, level)
+
+    def test_level_whose_quantile_rounds_to_one(self):
+        # (1 + level)/2 rounds to 1 for the largest double below 1.
+        r = wald(1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match=r"level 0\.9999999999999999 is too close to 1"):
+            confidence_interval(r, 0.9999999999999999)
+        assert confidence_interval(r, 0.9999999999999998)[1] > 9.0
 
 
 class TestInvariants:
