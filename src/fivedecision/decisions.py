@@ -19,7 +19,10 @@ verdicts {1,3,5}) and the two one-sided procedure run at full level a
 under the premise that theta = theta0 is impossible (verdicts
 {2,3,4}).  All of them, the nested intervals and the Wald power
 formulas read one set of boundaries, which decision_regions solves
-once per (null, alpha) and caches.  Significance levels up to 0.5
+once per (null, alpha) and caches.  Its two quantiles, q_{1-a} and
+q_{1-a/2}, are the ones stattests.confidence_interval asks for at
+levels 1 - 2a and 1 - a, and quantile keeps each solve per (null, p),
+so those intervals solve nothing more.  Significance levels up to 0.5
 are accepted; at exactly 0.5 the no-rejection region collapses to the
 single point q_{0.5}.
 """

@@ -9,11 +9,14 @@ the Chernoff bound, in 4-6 tail evaluations at alphas 0.005 to 0.1 and at
 most 21 over df 1e-3 to 1e10; one for p < 1/2 is its negated mirror.  It
 raises OverflowError when the quantile lies beyond the float range
 (Student t at small df) and ArithmeticError when it does not converge.
+Each solve is kept per (null, p) in a bounded cache, and Student t takes
+0 < df <= 2**53.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -36,6 +39,9 @@ _LN_SQRT_PI = 0.5 * math.log(math.pi)  # lgamma(0.5)
 _REL_TOL = 4e-12
 _MAX_NEWTON = 200
 _MAX_FLOAT = sys.float_info.max
+# Above 2**53 the Pfaff fraction's b = 1/2 - a no longer keeps the 1/2 in
+# a + b, and the t tail goes wrong by up to 9.4%.
+_MAX_DF = 2.0**53
 
 
 class Kind(enum.Enum):
@@ -53,8 +59,8 @@ class NullDistribution:
 
     def __post_init__(self) -> None:
         if self.kind is Kind.STUDENT_T:
-            if self.df is None or not math.isfinite(self.df) or self.df <= 0:
-                raise ValueError(f"StudentT requires df > 0, got {self.df!r}")
+            if self.df is None or not 0.0 < self.df <= _MAX_DF:
+                raise ValueError(f"StudentT requires 0 < df <= 2**53, got {self.df!r}")
         elif self.df is not None:
             raise ValueError("df is only meaningful for StudentT")
 
@@ -188,7 +194,15 @@ def quantile(d: NullDistribution, p: float) -> float:
         if 1.0 - p == 1.0:
             raise ValueError(f"p {p!r} is too small: 1 - p rounds to 1")
         return -quantile(d, 1.0 - p)
+    return _upper_quantile(d, p)
 
+
+# Each decision_regions entry (512 of them) solves two quantiles, q(1 - a)
+# and q(1 - a/2), so 1024 entries hold the boundaries of every cached region
+# set; the confidence intervals at 1 - a and 1 - 2a, the Wald boundaries and
+# the z values of sample_size read the same entries.  Errors are not cached.
+@functools.lru_cache(maxsize=1024)
+def _upper_quantile(d: NullDistribution, p: float) -> float:
     # Newton steps on ln tail against ln x, concave for both nulls: from the
     # Chernoff start every step after the first lands at or above the root.
     target = 1.0 - p

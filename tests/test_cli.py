@@ -89,6 +89,12 @@ class TestDecideSummary:
         assert code == 2
         assert "alpha" in err
 
+    def test_df_beyond_two_to_the_53_is_usage_error(self, capsys):
+        n = 5 * 10**15  # df = 1e16 - 2
+        code, out, err = run_cli(capsys, "decide", "--summary", f"{n},1,1,{n},2,1")
+        assert (code, out) == (2, "")
+        assert "df <= 2**53" in err
+
 
 class TestDecideCsv:
     def _write(self, tmp_path, text):
@@ -359,6 +365,13 @@ class TestRegions:
         by_alpha = {r["alpha"]: r["boundaries"] for r in payload["regions"]}
         q = by_alpha[0.05]
         assert [round(v, 2) for v in q] == [-2.10, -1.73, 1.73, 2.10]
+
+    def test_df_beyond_two_to_the_53_is_usage_error(self, capsys):
+        # The Pfaff tail there printed +-3.1153/+-3.3119 at alpha 0.001,
+        # where the true boundaries are +-3.0902/+-3.2905.
+        code, out, err = run_cli(capsys, "regions", "--df", "1e17", "--alpha", "0.001")
+        assert (code, out) == (2, "")
+        assert "df <= 2**53" in err
 
     def test_normal_boundaries(self, capsys):
         code, out, _ = run_cli(

@@ -1,8 +1,11 @@
 """Distribution layer checks: frozen references, scipy sweeps, and the
 integration oracle for the t CDF."""
 
+import importlib
+import itertools
 import math
 import re
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from fivedecision import distributions
+from fivedecision.decisions import decision_regions
 from fivedecision.distributions import (
     Kind,
     NullDistribution,
@@ -21,6 +25,9 @@ from fivedecision.distributions import (
     standard_normal,
     student_t,
 )
+from fivedecision.stattests import GroupSummary, confidence_interval, two_sample_t, wald
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Contract tolerances.
 NORMAL_CDF_ATOL = 1e-12
@@ -46,10 +53,20 @@ DFS = st.floats(min_value=0.5, max_value=1e7)
 TAILS = st.floats(min_value=1e-14, max_value=0.5, exclude_max=True)
 
 
+@pytest.fixture(autouse=True)
+def cold_quantile_cache():
+    # quantile keeps every solve per (null, p); the tests below patch the
+    # solver and count its tail calls, so each one starts from no solves.
+    distributions._upper_quantile.cache_clear()
+
+
 class TestConstruction:
     def test_student_requires_positive_df(self):
-        for df in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
+        # One message for every df outside (0, 2**53].  Beyond 2**53 the
+        # Pfaff fraction loses the 1/2 in a + b: at 2**53 + 2 the tail at
+        # t = 3.5 was 6.4% off, at 1e308 it was nan.
+        for df in (0.0, -1.0, math.nan, math.inf, 2.0**53 + 2, 1e17, 1e308):
+            with pytest.raises(ValueError, match=re.escape(f"StudentT requires 0 < df <= 2**53, got {df!r}")):
                 student_t(df)
 
     def test_normal_rejects_df(self):
@@ -59,6 +76,25 @@ class TestConstruction:
     def test_non_integer_df_accepted(self):
         d = student_t(17.4)
         assert 0.0 < cdf(d, 1.0) < 1.0
+
+    @pytest.mark.parametrize("t", [3.5, 5.0, 9.0, 20.0])
+    def test_largest_df_tail_matches_scipy(self, t):
+        df = 2.0**53
+        assert cdf(student_t(df), -t) == pytest.approx(float(stats.t.sf(t, df)), rel=1e-11, abs=0.0)
+
+    def test_benchmark_stream_stays_inside_the_df_domain(self, monkeypatch):
+        # The analysis_stream tail draws n up to MAX_TAIL_N = 5e5 per group,
+        # so its largest df is about 1.1e6, far below 2**53.
+        monkeypatch.syspath_prepend(str(BENCH))
+        workloads = importlib.import_module("workloads")
+        largest = 0
+        for seed in (1, 11):
+            for req in itertools.islice(workloads.analysis_requests(seed), 20000):
+                if req[0] == "summary":
+                    largest = max(largest, req[2] + req[5] - 2)
+                elif req[0] == "raw":
+                    largest = max(largest, len(req[2]) + len(req[3]) - 2)
+        assert 1e5 < largest < 2e6
 
 
 class TestNormalCdf:
@@ -315,14 +351,72 @@ class TestSolverCost:
         for p in (1.0 - alpha, 1.0 - alpha / 2.0):
             calls.clear()
             quantile(d, p)
-            assert len(calls) <= 7
+            assert 1 <= len(calls) <= 7
 
     def test_small_df_far_tail(self, monkeypatch):
         # q = 1.1e293, about 970 binades above the Chernoff start.
         calls = _count_tail_calls(monkeypatch)
         q = quantile(student_t(0.05), 1.0 - 1e-15)
         assert 1e293 < q < 1.2e293
-        assert len(calls) <= 6
+        assert 1 <= len(calls) <= 6
+
+
+class TestQuantileCache:
+    def test_repeat_solves_nothing(self, monkeypatch):
+        d = student_t(18)
+        calls = _count_tail_calls(monkeypatch)
+        first = quantile(d, 0.975)
+        assert calls
+        calls.clear()
+        assert quantile(d, 0.975).hex() == first.hex()
+        assert calls == []
+
+    def test_mirror_shares_the_entry(self, monkeypatch):
+        d = standard_normal()
+        calls = _count_tail_calls(monkeypatch)
+        upper = quantile(d, 0.95)
+        assert calls
+        calls.clear()
+        assert quantile(d, 1.0 - 0.95) == -upper
+        assert calls == []
+        assert distributions._upper_quantile.cache_info().currsize == 1
+
+    def test_bounded(self):
+        d = standard_normal()
+        info = distributions._upper_quantile.cache_info
+        for k in range(info().maxsize + 100):
+            quantile(d, 0.9 + k * 1e-5)
+        assert info().currsize == info().maxsize == 1024
+
+    def test_errors_are_not_cached(self, monkeypatch):
+        d = student_t(1e-3)
+        calls = _count_tail_calls(monkeypatch)
+        for _ in range(2):
+            calls.clear()
+            with pytest.raises(OverflowError):
+                quantile(d, 0.9)
+            assert calls
+        assert distributions._upper_quantile.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.05, 0.01, 0.005])
+    def test_intervals_reuse_the_region_boundaries(self, monkeypatch, alpha):
+        # 1 - a and 1 - 2a name the same upper quantiles, 1 - a/2 and 1 - a,
+        # that a cold decision_regions has just solved.
+        decision_regions.cache_clear()
+        results = [
+            two_sample_t(GroupSummary(10, 205.6, 65.2), GroupSummary(10, 258.9, 70.3)),
+            wald(1.3, 0.4),
+        ]
+        calls = _count_tail_calls(monkeypatch)
+        for r in results:
+            calls.clear()
+            regions = decision_regions(r.null, alpha)
+            assert calls
+            calls.clear()
+            wide = confidence_interval(r, 1.0 - alpha)
+            narrow = confidence_interval(r, 1.0 - 2.0 * alpha)
+            assert calls == []
+            assert (wide, narrow) == regions.nested_intervals(r.estimate, r.se)
 
 
 SLOPE_DISTS = [standard_normal()] + [
