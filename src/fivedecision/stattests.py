@@ -4,13 +4,14 @@ Covers the two-sample pooled t-test, from raw observations or from
 per-group summary statistics, and the Wald statistic for an estimate
 with a known standard error.  Every result carries its null
 distribution so that decision rules and intervals can be derived from
-the same object.
+the same object.  From raw observations each group's sd is the correctly
+rounded square root of its exact sample variance, on every Python
+version, and its mean is math.fsum(xs) / n.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -119,8 +120,36 @@ def two_sample_t_raw(
             raise DegenerateDataError(f"{label} group needs at least 2 observations")
         if not all(math.isfinite(x) for x in xs):
             raise ValueError(f"{label} group contains non-finite values")
-        summaries.append((len(xs), statistics.fmean(xs), statistics.stdev(xs)))
+        summaries.append((len(xs), math.fsum(xs) / len(xs), _sample_sd(xs)))
     return _pooled_t(summaries[0], summaries[1], theta0)
+
+
+def _sample_sd(xs: list[float]) -> float:
+    """Sample standard deviation of finite floats, correctly rounded.
+
+    Each x is m * 2**-e over one common e, so the sample variance is
+    (n*sum(m*m) - sum(m)**2) / (n*(n-1)) * 2**(-2*e) exactly, in integers.
+    Its square root is rounded to odd at 109 bits, then once to the float:
+    the method of statistics.stdev from Python 3.11 (3.10's rounds the
+    variance to a float first, and can land one ulp off).
+    """
+    ratios = [x.as_integer_ratio() for x in xs]
+    scale = max(den for _, den in ratios)  # every denominator is a power of two
+    ms = [num * (scale // den) for num, den in ratios]
+    n = len(ms)
+    total = sum(ms)
+    num = n * sum(m * m for m in ms) - total * total
+    den = n * (n - 1) * scale * scale
+    shift = (num.bit_length() - den.bit_length() - 109) // 2
+    if shift >= 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    # int / int rounds once, and past the float range raises OverflowError
+    # with the message of statistics.stdev.
+    return (root << shift) / 1 if shift >= 0 else root / (1 << -shift)
 
 
 def wald(estimate: float, se: float, theta0: float = 0.0) -> TestResult:

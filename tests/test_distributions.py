@@ -329,12 +329,17 @@ class TestQuantile:
             quantile(student_t(df), 0.5 + 2.0**-53)
 
 
+def _name(d):
+    return "normal" if d.df is None else f"t{d.df:g}"
+
+
 def _count_tail_calls(monkeypatch):
+    # The null of every tail evaluation, in order.
     calls = []
     tail = distributions._upper_tail
 
     def counted(d, t):
-        calls.append(t)
+        calls.append(d.kind)
         return tail(d, t)
 
     monkeypatch.setattr(distributions, "_upper_tail", counted)
@@ -342,16 +347,33 @@ def _count_tail_calls(monkeypatch):
 
 
 class TestSolverCost:
-    @pytest.mark.parametrize("df", [1, 2, 5, 18, 98, 1e4, 1e6, 1e9, None])
+    # Tail evaluations per solve, counted for each null apart: from df 4 on
+    # a t solve starts at the Cornish-Fisher value, which reads the normal
+    # quantile at the same p.
+
+    @pytest.mark.parametrize("df", [1, 2, 3.99, 4, 5, 18, 98, 999, 1e3, 1e4, 1e6, 1e9, 2.0**53, None])
     @pytest.mark.parametrize("alpha", [0.10, 0.05, 0.01, 0.005])
     def test_boundary_solves(self, monkeypatch, df, alpha):
-        # The decision boundaries q(1 - a) and q(1 - a/2) at the usual alphas.
+        # The decision boundaries q(1 - a) and q(1 - a/2) at the usual alphas:
+        # the normal from a cold cache, t with the normal entry cached, as it
+        # is after the first region set at this alpha.
         d = standard_normal() if df is None else student_t(df)
+        bound = 7 if df is None or df < 4 else 3 if df < 1e3 else 2
         calls = _count_tail_calls(monkeypatch)
         for p in (1.0 - alpha, 1.0 - alpha / 2.0):
+            if df is not None:
+                quantile(standard_normal(), p)
             calls.clear()
             quantile(d, p)
-            assert 1 <= len(calls) <= 7
+            assert set(calls) == {d.kind}
+            assert len(calls) <= bound
+
+    def test_cold_t_solve_solves_the_normal_once(self, monkeypatch):
+        calls = _count_tail_calls(monkeypatch)
+        quantile(student_t(18), 0.975)
+        assert 1 <= calls.count(Kind.STANDARD_NORMAL) <= 7
+        assert 1 <= calls.count(Kind.STUDENT_T) <= 3
+        assert distributions._upper_quantile.cache_info().currsize == 2
 
     def test_small_df_far_tail(self, monkeypatch):
         # q = 1.1e293, about 970 binades above the Chernoff start.
@@ -359,6 +381,62 @@ class TestSolverCost:
         q = quantile(student_t(0.05), 1.0 - 1e-15)
         assert 1e293 < q < 1.2e293
         assert 1 <= len(calls) <= 6
+
+
+# Every fifth df of the grid 10**(k/20), k = -60..200, and the normal, by
+# every other tail of 10**(-j/4), j = 2..63, plus tails near 1/2 and 1.1e-16.
+GRID_DISTS = [student_t(10.0 ** (k / 20)) for k in range(-60, 201, 5)] + [standard_normal()]
+GRID_TAILS = [10.0 ** (-j / 4) for j in range(2, 64, 2)] + [
+    0.5 - 1.1e-16,
+    0.5 - 1e-12,
+    0.4999,
+    0.45,
+    0.3,
+    0.25,
+    0.2,
+    1.11e-16,
+]
+
+
+def _solve(d, p):
+    try:
+        return quantile(d, p)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+class TestCornishFisherStart:
+    def test_expansion_tracks_the_t_quantile(self):
+        # Four terms in 1/df, so the start is off by ~df**-5: 3.1e-4 relative
+        # at df 4 (q = 2.776), 1.5e-8 at df 30 and 5.7e-16 at df 1e3.
+        z = quantile(standard_normal(), 0.975)
+        for df, rel in ((4, 5e-4), (30, 3e-8), (1e3, 2e-15)):
+            start = distributions._cornish_fisher(df, z)
+            assert start == pytest.approx(float(stats.t.isf(0.025, df)), rel=rel)
+
+    @pytest.mark.parametrize("d", GRID_DISTS, ids=_name)
+    def test_never_costs_more_than_the_chernoff_start(self, monkeypatch, d):
+        # The same outcome as a solve from the Chernoff start, and no more
+        # Student t tail evaluations, over a thinned copy of the grid.
+        calls = _count_tail_calls(monkeypatch)
+        for tail in GRID_TAILS:
+            p = 1.0 - tail
+            distributions._upper_quantile.cache_clear()
+            quantile(standard_normal(), p)
+            calls.clear()
+            new = _solve(d, p)
+            new_calls = calls.count(Kind.STUDENT_T)
+            distributions._upper_quantile.cache_clear()
+            with monkeypatch.context() as m:
+                m.setattr(distributions, "_CF_MIN_DF", math.inf)
+                calls.clear()
+                old = _solve(d, p)
+                old_calls = calls.count(Kind.STUDENT_T)
+            assert new_calls <= old_calls
+            if isinstance(old, tuple) or isinstance(new, tuple):
+                assert new == old
+            else:
+                assert new == pytest.approx(old, rel=1e-12, abs=1e-15 if old < 1e-6 else 0.0)
 
 
 class TestQuantileCache:
@@ -401,14 +479,16 @@ class TestQuantileCache:
     @pytest.mark.parametrize("alpha", [0.1, 0.05, 0.01, 0.005])
     def test_intervals_reuse_the_region_boundaries(self, monkeypatch, alpha):
         # 1 - a and 1 - 2a name the same upper quantiles, 1 - a/2 and 1 - a,
-        # that a cold decision_regions has just solved.
-        decision_regions.cache_clear()
+        # that a cold decision_regions has just solved.  Both caches are
+        # cleared for each null: the t solves warm the normal entries.
         results = [
             two_sample_t(GroupSummary(10, 205.6, 65.2), GroupSummary(10, 258.9, 70.3)),
             wald(1.3, 0.4),
         ]
         calls = _count_tail_calls(monkeypatch)
         for r in results:
+            decision_regions.cache_clear()
+            distributions._upper_quantile.cache_clear()
             calls.clear()
             regions = decision_regions(r.null, alpha)
             assert calls
@@ -423,10 +503,6 @@ SLOPE_DISTS = [standard_normal()] + [
     student_t(df) for df in (1e-3, 0.05, 0.5, 1, 2, 5, 18, 98, 1e4, 1e6, 1e9)
 ]
 SLOPE_TS = [1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0, 1e2, 1e4, 1e10, 1e100]
-
-
-def _name(d):
-    return "normal" if d.df is None else f"t{d.df:g}"
 
 
 class TestTailSlope:

@@ -1,4 +1,5 @@
-"""numpy and the process pool load only when a simulation runs.
+"""numpy and the process pool load only when a simulation runs, and
+statistics and fractions never do.
 
 Each check runs in a fresh interpreter, because the test modules load
 numpy themselves.
@@ -47,6 +48,17 @@ def _probe(argv):
 def test_package_import_loads_neither():
     # Also covers importing fivedecision.cli.
     assert _probe(None) == {"code": 0, "loaded": [], "stdout": ""}
+
+
+def test_package_loads_no_exact_arithmetic():
+    # The raw-data sd is formed in integers, not with statistics.stdev and
+    # its Fractions, not even lazily.
+    probe = (
+        "import sys; from fivedecision import stattests; "
+        "stattests.two_sample_t_raw([1.0, 1.5, 7.0], [2.0, 3.0]); "
+        "print([m for m in ('statistics', 'fractions') if m in sys.modules])"
+    )
+    assert _python("-c", probe) == "[]\n"
 
 
 @pytest.mark.parametrize(

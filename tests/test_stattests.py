@@ -2,14 +2,18 @@
 chick-weight example and self-consistency between raw and summary paths."""
 
 import math
+import statistics
+import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from fivedecision import stattests
 from fivedecision.distributions import Kind, cdf, quantile
 from fivedecision.stattests import (
     DegenerateDataError,
@@ -177,6 +181,61 @@ class TestTwoSampleRaw:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             two_sample_t_raw([1.0, math.inf], [1.0, 2.0])
+
+
+def _is_nearest_float(x, exact):
+    # No float lies closer to the exact value than x does.
+    with mpmath.workprec(256):
+        err = abs(x - exact)
+        return err <= abs(math.nextafter(x, math.inf) - exact) and err <= abs(
+            math.nextafter(x, -math.inf) - exact
+        )
+
+
+def _exact_sd(xs):
+    mean = sum(map(Fraction, xs)) / len(xs)
+    var = sum((Fraction(x) - mean) ** 2 for x in xs) / (len(xs) - 1)
+    with mpmath.workprec(256):
+        return mpmath.sqrt(mpmath.mpf(var.numerator) / var.denominator)
+
+
+class TestSampleSd:
+    # The raw path's sd is the correctly rounded square root of the exact
+    # sample variance, on every Python version.
+
+    @PROPERTY
+    @given(
+        xs=st.lists(
+            st.floats(min_value=-1e300, max_value=1e300) | st.floats(min_value=-1e3, max_value=1e3),
+            min_size=2,
+            max_size=30,
+        )
+    )
+    def test_correctly_rounded(self, xs):
+        sd = stattests._sample_sd(xs)
+        assert _is_nearest_float(sd, _exact_sd(xs))
+        if sys.version_info >= (3, 11):
+            assert sd.hex() == statistics.stdev(xs).hex()
+
+    def test_sample_where_python_3_10_rounds_twice(self):
+        # The variance of 1, 1.5, 7 is 133/12 exactly.  Python 3.10's
+        # statistics.stdev rounds it to a float before the square root and
+        # returns 3.3291640592396967, one ulp above the nearest float; so
+        # `decide --csv` printed se 2.509242175696937 there for these groups.
+        xs = [1.0, 1.5, 7.0]
+        assert _is_nearest_float(3.3291640592396963, _exact_sd(xs))
+        assert stattests._sample_sd(xs) == 3.3291640592396963
+        r = two_sample_t_raw(xs, [2.0, 3.0])
+        assert r.se == 2.5092421756969365
+        assert r == two_sample_t(
+            GroupSummary(3, math.fsum(xs) / 3, 3.3291640592396963),
+            GroupSummary(2, 2.5, math.sqrt(0.5)),
+        )
+
+    def test_overflowing_sd_raises(self):
+        # As statistics.stdev does: the sd of +-1.7e308 lies beyond the float range.
+        with pytest.raises(OverflowError, match="integer division result too large for a float"):
+            stattests._sample_sd([1.7e308, -1.7e308])
 
 
 class TestWald:
