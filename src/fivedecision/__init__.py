@@ -20,6 +20,7 @@ from .decisions import (
     Decision,
     DecisionRegions,
     Hypothesis,
+    Procedure,
     RegionInterval,
     decision_regions,
     five_decision,
@@ -40,7 +41,6 @@ from .power import (
     sample_size,
 )
 from .simulation import (
-    Procedure,
     SimulationConfig,
     SimulationReport,
     run_simulation,

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from .decisions import (
     Decision,
     Hypothesis,
+    Procedure,
+    _also_rejected,
     decision_regions,
     five_decision,
     jones_tukey_decision,
@@ -45,7 +47,7 @@ from .power import (
     reduction_table,
     sample_size,
 )
-from .simulation import Procedure, SimulationConfig, run_simulation
+from .simulation import SimulationConfig, run_simulation
 from .stattests import (
     DegenerateDataError,
     GroupSummary,
@@ -62,7 +64,6 @@ EXIT_DEGENERATE = 3
 SCHEMA_VERSION = 1
 
 _TARGET_CHOICES = ("H1", "H2", "H4", "H5")
-_PROCEDURES = {p.value: p for p in Procedure}
 
 
 class _ParseError(Exception):
@@ -164,11 +165,6 @@ def _decision_sentence(d: Decision, t0: str) -> str:
     )
 
 
-# With theta = theta0 ruled out, the Jones-Tukey verdicts 2 and 4 also
-# reject the non-strict hypothesis on the same side.
-_JT_ALSO_REJECTS = {2: Hypothesis.H1, 4: Hypothesis.H5}
-
-
 def cmd_decide(args: argparse.Namespace) -> _View:
     theta0 = args.theta0
     if args.summary is not None:
@@ -188,9 +184,9 @@ def cmd_decide(args: argparse.Namespace) -> _View:
     regions = decision_regions(result.null, alpha)
     ci_wide, ci_narrow = regions.nested_intervals(result.estimate, result.se)
     decisions = {
-        "five_decision": five_decision(result.t_stat, result.null, alpha),
-        "kaiser": kaiser_decision(result.t_stat, result.null, alpha),
-        "jones_tukey": jones_tukey_decision(result.t_stat, result.null, alpha),
+        Procedure.FIVE_DECISION: five_decision(result.t_stat, result.null, alpha),
+        Procedure.KAISER: kaiser_decision(result.t_stat, result.null, alpha),
+        Procedure.JONES_TUKEY: jones_tukey_decision(result.t_stat, result.null, alpha),
     }
 
     p = args.precision
@@ -222,15 +218,15 @@ def cmd_decide(args: argparse.Namespace) -> _View:
         "directional two-sided, levels alpha/2",
         "two one-sided at full alpha (theta0 impossible)",
     )
-    for (key, d), title in zip(decisions.items(), titles):
-        rows.append([key, str(d.index)])
+    for (procedure, d), title in zip(decisions.items(), titles):
+        rows.append([procedure.name.lower(), str(d.index)])
         lines.append(f"{title}: decision {d.index}, " + _decision_sentence(d, t0))
-    also = _JT_ALSO_REJECTS.get(decisions["jones_tukey"].index)
-    if also is not None:
-        lines[-1] += (
-            f"; with theta0 excluded this also rejects "
-            f"{also.value}: theta {also.comparator} {t0}"
-        )
+        also = _also_rejected(procedure, d.index)
+        if also is not None:
+            lines[-1] += (
+                f"; with theta0 excluded this also rejects "
+                f"{also.value}: theta {also.comparator} {t0}"
+            )
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -246,12 +242,12 @@ def cmd_decide(args: argparse.Namespace) -> _View:
             "narrow": list(ci_narrow),
         },
         "decisions": {
-            key: {
+            procedure.name.lower(): {
                 "index": d.index,
                 "rejected": d.rejected.value,
                 "accepted_implicitly": d.accepted_implicitly.value,
             }
-            for key, d in decisions.items()
+            for procedure, d in decisions.items()
         },
     }
     return _View(payload, rows, lines)
@@ -369,7 +365,7 @@ def cmd_simulate(args: argparse.Namespace) -> _View:
         alpha=args.alpha,
         trials=args.trials,
         seed=args.seed,
-        procedure=_PROCEDURES[args.procedure],
+        procedure=Procedure(args.procedure),
     )
     report = run_simulation(cfg, workers=args.workers)
     p = args.precision
@@ -563,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=1)
     p_sim.add_argument(
         "--procedure",
-        choices=tuple(_PROCEDURES),
+        choices=[p.value for p in Procedure],
         default=Procedure.FIVE_DECISION.value,
     )
     p_sim.add_argument(

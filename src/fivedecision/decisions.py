@@ -17,14 +17,16 @@ interval positions), plus the two classical mergers of the partition:
 the directional two-sided procedure (each one-sided test at level a/2,
 verdicts {1,3,5}) and the two one-sided procedure run at full level a
 under the premise that theta = theta0 is impossible (verdicts
-{2,3,4}).  All of them, the nested intervals and the Wald power
-formulas read one set of boundaries, which decision_regions solves
-once per (null, alpha) and caches.  Its two quantiles, q_{1-a} and
-q_{1-a/2}, are the ones stattests.confidence_interval asks for at
-levels 1 - 2a and 1 - a, and quantile keeps each solve per (null, p),
-so those intervals solve nothing more.  Significance levels up to 0.5
-are accepted; at exactly 0.5 the no-rejection region collapses to the
-single point q_{0.5}.
+{2,3,4}).  `Procedure` keys the one merge table; each procedure's
+verdicts, its wrong-side verdicts for the simulation and what else a
+Jones-Tukey verdict rejects are read off it here.  All of them, the
+nested intervals and the Wald power formulas read one set of
+boundaries, which decision_regions solves once per (null, alpha) and
+caches.  Its two quantiles, q_{1-a} and q_{1-a/2}, are the ones
+stattests.confidence_interval asks for at levels 1 - 2a and 1 - a, and
+quantile keeps each solve per (null, p), so those intervals solve
+nothing more.  Significance levels up to 0.5 are accepted; at exactly
+0.5 the no-rejection region collapses to the single point q_{0.5}.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .stattests import TestResult
 __all__ = [
     "Hypothesis",
     "Decision",
+    "Procedure",
     "DecisionRegions",
     "RegionInterval",
     "five_decision",
@@ -72,22 +75,6 @@ _COMPARATORS = {
     Hypothesis.H5: "<=",
 }
 
-_REJECTED_BY_INDEX = {
-    1: Hypothesis.H1,
-    2: Hypothesis.H2,
-    3: Hypothesis.NONE,
-    4: Hypothesis.H4,
-    5: Hypothesis.H5,
-}
-
-_IMPLICIT_ACCEPT = {
-    Hypothesis.H1: Hypothesis.H4,
-    Hypothesis.H2: Hypothesis.H5,
-    Hypothesis.NONE: Hypothesis.NONE,
-    Hypothesis.H4: Hypothesis.H1,
-    Hypothesis.H5: Hypothesis.H2,
-}
-
 
 @dataclass(frozen=True)
 class Decision:
@@ -97,8 +84,19 @@ class Decision:
 
     @classmethod
     def from_index(cls, index: int) -> "Decision":
-        rejected = _REJECTED_BY_INDEX[index]
-        return cls(index, rejected, _IMPLICIT_ACCEPT[rejected])
+        if not 1 <= index <= 5:
+            raise KeyError(index)
+        return _DECISIONS[index - 1]
+
+
+# Decisions 1..5; each rejection implicitly accepts its mirror.
+_DECISIONS = (
+    Decision(1, Hypothesis.H1, Hypothesis.H4),
+    Decision(2, Hypothesis.H2, Hypothesis.H5),
+    Decision(3, Hypothesis.NONE, Hypothesis.NONE),
+    Decision(4, Hypothesis.H4, Hypothesis.H1),
+    Decision(5, Hypothesis.H5, Hypothesis.H2),
+)
 
 
 @dataclass(frozen=True)
@@ -129,8 +127,8 @@ class DecisionRegions:
             (5, q4, math.inf, False, False),
         ]
         return [
-            RegionInterval(i, lo, hi, lc, uc, _REJECTED_BY_INDEX[i])
-            for i, lo, hi, lc, uc in spans
+            RegionInterval(i, lo, hi, lc, uc, d.rejected)
+            for (i, lo, hi, lc, uc), d in zip(spans, _DECISIONS)
         ]
 
     def nested_intervals(self, estimate: float, se: float) -> tuple[tuple, tuple]:
@@ -174,28 +172,57 @@ def _index_from_boundaries(t_stat, q1, q2, q3, q4):
     return 1 + (t_stat >= q1) + (t_stat >= q2) + (t_stat > q3) + (t_stat > q4)
 
 
-# Five-decision index -> reported index under each procedure (keyed
-# by procedure name; position 0 is unused).  The classical procedures
-# are merges of the same partition.
+class Procedure(enum.Enum):
+    FIVE_DECISION = "five-decision"
+    KAISER = "kaiser"
+    JONES_TUKEY = "jones-tukey"
+
+    @property
+    def index_set(self) -> tuple[int, ...]:
+        return tuple(sorted(set(_MERGE[self][1:])))
+
+
+# Five-decision index -> reported index under each procedure (position
+# 0 is unused).  The classical procedures are merges of the same
+# partition, and every per-procedure rule below is read off this table.
 _MERGE = {
-    "five-decision": (0, 1, 2, 3, 4, 5),
-    "kaiser": (0, 1, 3, 3, 3, 5),
-    "jones-tukey": (0, 2, 2, 3, 4, 4),
+    Procedure.FIVE_DECISION: (0, 1, 2, 3, 4, 5),
+    Procedure.KAISER: (0, 1, 3, 3, 3, 5),
+    Procedure.JONES_TUKEY: (0, 2, 2, 3, 4, 4),
 }
 
 
+def _wrong_indices(procedure: Procedure, effect: float) -> tuple[int, ...]:
+    # Verdicts that misstate the true side of the effect: the merged
+    # regions that reject a hypothesis true at it.  At zero effect the
+    # Jones-Tukey ones, 2 and 4, are counted without an alpha bound.
+    regions = (1, 2) if effect > 0 else (4, 5) if effect < 0 else (1, 5)
+    return tuple(sorted({_MERGE[procedure][i] for i in regions} - {3}))
+
+
+def _also_rejected(procedure: Procedure, index: int) -> Hypothesis | None:
+    """The hypothesis a rejecting verdict also rejects because it
+    absorbs a second five-decision region (Jones-Tukey's 2 and 4, with
+    theta = theta0 ruled out), or None."""
+    if index == 3:
+        return None
+    merge = _MERGE[procedure]
+    others = [i for i in range(1, 6) if i != index and merge[i] == index]
+    return _DECISIONS[others[0] - 1].rejected if others else None
+
+
 def _merged_decision(
-    procedure: str, t_stat: float, null: NullDistribution, alpha: float
+    procedure: Procedure, t_stat: float, null: NullDistribution, alpha: float
 ) -> Decision:
     t_stat = _check_t(t_stat)
     q1, q2, q3, q4 = decision_regions(null, alpha).boundaries
     index = _index_from_boundaries(t_stat, q1, q2, q3, q4)
-    return Decision.from_index(_MERGE[procedure][index])
+    return _DECISIONS[_MERGE[procedure][index] - 1]
 
 
 def five_decision(t_stat: float, null: NullDistribution, alpha: float) -> Decision:
     """Classify a statistic into one of the five decisions."""
-    return _merged_decision("five-decision", t_stat, null, alpha)
+    return _merged_decision(Procedure.FIVE_DECISION, t_stat, null, alpha)
 
 
 def five_decision_via_three_tests(
@@ -251,7 +278,7 @@ def kaiser_decision(t_stat: float, null: NullDistribution, alpha: float) -> Deci
     """Directional two-sided verdict: both one-sided tests at level
     alpha/2, so only decisions 1, 3, and 5 can occur.  Equals the
     five-decision verdict with regions {2, 3, 4} merged into 3."""
-    return _merged_decision("kaiser", t_stat, null, alpha)
+    return _merged_decision(Procedure.KAISER, t_stat, null, alpha)
 
 
 def jones_tukey_decision(
@@ -262,4 +289,4 @@ def jones_tukey_decision(
     occur.  Equals the five-decision verdict with {1, 2} merged into 2
     and {4, 5} merged into 4; under the impossibility premise a
     decision-4 rejection of H4 carries the H5 rejection with it."""
-    return _merged_decision("jones-tukey", t_stat, null, alpha)
+    return _merged_decision(Procedure.JONES_TUKEY, t_stat, null, alpha)

@@ -2,10 +2,10 @@
 
 Each trial stands for two groups of n normal observations (the first
 group shifted by the standardized mean difference, sigma fixed at 1)
-and their pooled t statistic, classified with the configured procedure
-and tallied.  The observations themselves are never drawn: with sigma
-= 1 the pooled t is a function of two independent sufficient
-statistics,
+and their pooled t statistic, classified by the configured procedure's
+row of the merge table in decisions (home of `Procedure`) and tallied.
+The observations themselves are never drawn: with sigma = 1 the
+pooled t is a function of two independent sufficient statistics,
 
     t = (effect * sqrt(n/2) + Z) / sqrt(V / (2n - 2)),
     Z ~ N(0, 1),  V ~ chi^2(2n - 2) = 2 * Gamma(n - 1),
@@ -13,7 +13,7 @@ statistics,
 which is its exact sampling distribution, so a trial costs O(1) for
 any n.  Frequencies estimate the per-decision probabilities; the
 wrong-rejection rate scores decisions against the true side of the
-effect.
+effect, read off the same table.
 
 Reproducibility contract: trials are grouped in fixed blocks of
 _CHUNK_TRIALS, and block b draws all its Z values, then all its V
@@ -28,12 +28,12 @@ changes the stream.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .decisions import _MERGE, _check_alpha, _index_from_boundaries, decision_regions
+from .decisions import Procedure, decision_regions
+from .decisions import _MERGE, _check_alpha, _index_from_boundaries, _wrong_indices
 from .distributions import student_t
 
 __all__ = [
@@ -51,16 +51,6 @@ _CHUNK_TRIALS = 16384
 # trial) than this.  The kernel draws two numbers per trial whatever
 # n is, so this caps the modelled data size, not the draws.
 _MAX_DRAWS = 1 << 40
-
-
-class Procedure(enum.Enum):
-    FIVE_DECISION = "five-decision"
-    KAISER = "kaiser"
-    JONES_TUKEY = "jones-tukey"
-
-    @property
-    def index_set(self) -> tuple[int, ...]:
-        return tuple(sorted(set(_MERGE[self.value][1:])))
 
 
 @dataclass(frozen=True)
@@ -169,9 +159,9 @@ def _simulate_chunk(args: tuple) -> np.ndarray:
     """
     import numpy as np
 
-    seed, start, count, n, effect, boundaries, procedure_value = args
+    seed, start, count, n, effect, boundaries, merge = args
     shift = effect * math.sqrt(n / 2.0)
-    merge = np.array(_MERGE[procedure_value])
+    merge = np.array(merge)
     z, v = np.empty(_CHUNK_TRIALS), np.empty(_CHUNK_TRIALS)
     totals = np.zeros(6, dtype=np.int64)
     for block, lo, hi in _blocks(start, count):
@@ -184,22 +174,6 @@ def _simulate_chunk(args: tuple) -> np.ndarray:
         idx = _index_from_boundaries(t, *boundaries)
         totals += np.bincount(merge[idx], minlength=6)
     return totals
-
-
-def _wrong_indices(effect: float, procedure: Procedure) -> tuple[int, ...]:
-    # Decisions that misstate the true side of the effect.  With the
-    # effect exactly at zero the two-one-sided procedure has no valid
-    # no-rejection guarantee; its directional decisions are counted and
-    # reported without an alpha bound.
-    if effect > 0:
-        wrong = {1, 2}
-    elif effect < 0:
-        wrong = {4, 5}
-    elif procedure is Procedure.JONES_TUKEY:
-        wrong = {2, 4}
-    else:
-        wrong = {1, 5}
-    return tuple(sorted(wrong & set(procedure.index_set)))
 
 
 def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
@@ -228,7 +202,7 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
             cfg.n_per_group,
             cfg.mean_diff_over_sigma,
             boundaries,
-            cfg.procedure.value,
+            _MERGE[cfg.procedure],
         )
         for start in range(0, cfg.trials, span)
     ]
@@ -249,7 +223,8 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
     mc_se = {
         k: math.sqrt(freq[k] * (1.0 - freq[k]) / cfg.trials) for k in keys
     }
-    wrong_count = sum(counts[k] for k in _wrong_indices(cfg.mean_diff_over_sigma, cfg.procedure))
+    wrong = _wrong_indices(cfg.procedure, cfg.mean_diff_over_sigma)
+    wrong_count = sum(counts[k] for k in wrong)
     wrong_rate = wrong_count / cfg.trials
     wrong_se = math.sqrt(wrong_rate * (1.0 - wrong_rate) / cfg.trials)
     return SimulationReport(

@@ -1,11 +1,13 @@
 """Command-line surface checks: worked examples, formats, exit codes,
 and parse failures."""
 
+import argparse
 import json
 
 import pytest
 
-from fivedecision.cli import main
+from fivedecision.cli import build_parser, main
+from fivedecision.decisions import Procedure
 from fivedecision.stattests import two_sample_t_raw
 
 CHICK_SUMMARY = "10,205.6,65.2,10,258.9,70.3"
@@ -343,6 +345,17 @@ class TestSimulate:
         )
         assert code == 0
         assert set(json.loads(out)["counts"]) == {"2", "3", "4"}
+
+    def test_procedure_choices_follow_the_enum(self):
+        (commands,) = [
+            a
+            for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        option = next(
+            a for a in commands.choices["simulate"]._actions if a.dest == "procedure"
+        )
+        assert list(option.choices) == [p.value for p in Procedure]
 
     def test_invalid_seed(self, capsys):
         code, _, err = run_cli(

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import fivedecision.decisions
+import fivedecision.simulation
 from fivedecision.decisions import five_decision
 from fivedecision.distributions import student_t
 from fivedecision.simulation import (
@@ -188,6 +190,10 @@ class TestReportShape:
 
 
 class TestMergeStructure:
+    def test_procedure_is_the_decisions_enum(self):
+        # bench/workloads.py reaches the enum through this module.
+        assert fivedecision.simulation.Procedure is fivedecision.decisions.Procedure
+
     def test_procedures_merge_the_same_draws(self):
         # Identical seed and effect give identical statistics, so the
         # classical procedures' tallies are exact merges of the
@@ -238,15 +244,24 @@ class TestErrorRates:
         for effect, rate, mc_se in rows:
             assert rate <= BASE.alpha + 4.0 * mc_se
 
-    def test_wrong_side_classification(self):
-        up = run_simulation(dataclasses.replace(BASE, mean_diff_over_sigma=0.8))
-        assert up.wrong_rejection_rate == pytest.approx(
-            up.freq[1] + up.freq[2], abs=1e-15
-        )
-        down = run_simulation(dataclasses.replace(BASE, mean_diff_over_sigma=-0.8))
-        assert down.wrong_rejection_rate == pytest.approx(
-            down.freq[4] + down.freq[5], abs=1e-15
-        )
+    @pytest.mark.parametrize(
+        "procedure, wrong_up, wrong_down",
+        [
+            (Procedure.FIVE_DECISION, (1, 2), (4, 5)),
+            (Procedure.KAISER, (1,), (5,)),
+            (Procedure.JONES_TUKEY, (2,), (4,)),
+        ],
+    )
+    def test_wrong_side_classification(self, procedure, wrong_up, wrong_down):
+        for effect, wrong in ((0.8, wrong_up), (-0.8, wrong_down)):
+            report = run_simulation(
+                dataclasses.replace(
+                    BASE, procedure=procedure, mean_diff_over_sigma=effect
+                )
+            )
+            assert report.wrong_rejection_rate == pytest.approx(
+                sum(report.freq[k] for k in wrong), abs=1e-15
+            )
 
 
 class TestPowerBehavior:
