@@ -66,10 +66,6 @@ SCHEMA_VERSION = 1
 _TARGET_CHOICES = ("H1", "H2", "H4", "H5")
 
 
-class _ParseError(Exception):
-    """Bad input file or inline value; mapped to exit code 2."""
-
-
 @dataclass(frozen=True)
 class _View:
     """What one command prints: main renders the payload as JSON, the
@@ -93,7 +89,7 @@ def _percent_label(level: float) -> str:
 def _parse_summary(text: str) -> tuple[GroupSummary, GroupSummary]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 6:
-        raise _ParseError(
+        raise ValueError(
             "--summary needs 6 comma-separated values: n1,mean1,sd1,n2,mean2,sd2"
         )
     try:
@@ -101,11 +97,11 @@ def _parse_summary(text: str) -> tuple[GroupSummary, GroupSummary]:
         mean1, sd1 = float(parts[1]), float(parts[2])
         mean2, sd2 = float(parts[4]), float(parts[5])
     except ValueError as exc:
-        raise _ParseError(f"--summary has a non-numeric field: {exc}") from exc
+        raise ValueError(f"--summary has a non-numeric field: {exc}") from exc
     try:
         return GroupSummary(n1, mean1, sd1), GroupSummary(n2, mean2, sd2)
     except ValueError as exc:
-        raise _ParseError(f"--summary describes an invalid group: {exc}") from exc
+        raise ValueError(f"--summary describes an invalid group: {exc}") from exc
 
 
 def _parse_csv(path: str) -> tuple[list[str], dict[str, list[float]]]:
@@ -115,41 +111,41 @@ def _parse_csv(path: str) -> tuple[list[str], dict[str, list[float]]]:
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
-        raise _ParseError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
-            raise _ParseError(f"{path}: empty file") from None
+            raise ValueError(f"{path}: empty file") from None
         if [h.strip().lower() for h in header] != ["group", "value"]:
-            raise _ParseError(
+            raise ValueError(
                 f"{path}: line 1: expected header 'group,value', got {','.join(header)!r}"
             )
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 2:
-                raise _ParseError(
+                raise ValueError(
                     f"{path}: line {line_no}: expected 2 fields, got {len(row)}"
                 )
             label = row[0].strip()
             if not label:
-                raise _ParseError(f"{path}: line {line_no}: empty group label")
+                raise ValueError(f"{path}: line {line_no}: empty group label")
             try:
                 value = float(row[1])
             except ValueError:
-                raise _ParseError(
+                raise ValueError(
                     f"{path}: line {line_no}: non-numeric value {row[1]!r}"
                 ) from None
             if not math.isfinite(value):
-                raise _ParseError(f"{path}: line {line_no}: non-finite value")
+                raise ValueError(f"{path}: line {line_no}: non-finite value")
             if label not in groups:
                 labels.append(label)
                 groups[label] = []
             groups[label].append(value)
     if len(labels) != 2:
-        raise _ParseError(
+        raise ValueError(
             f"{path}: expected exactly 2 distinct groups, found {len(labels)}"
         )
     return labels, groups
@@ -321,9 +317,9 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
         values = [float(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
-        raise _ParseError(f"{flag} expects comma-separated numbers: {exc}") from exc
+        raise ValueError(f"{flag} expects comma-separated numbers: {exc}") from exc
     if not values:
-        raise _ParseError(f"{flag} needs at least one value")
+        raise ValueError(f"{flag} needs at least one value")
     return values
 
 
@@ -567,9 +563,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "worker processes (default 1); each call starts a fresh process "
-            "pool, which pays off only for large runs: on 2 CPUs, above "
-            "about 4 million trials"
+            "worker processes (default 1), each running one contiguous share "
+            "of the 16384-trial blocks; each call starts a fresh process "
+            "pool, which pays off only for large runs: on 2 CPUs, from about "
+            "2 million trials"
         ),
     )
     _add_common_output(p_sim)
@@ -599,9 +596,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         view = args.func(args)
-    except _ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DegenerateDataError as exc:
         print(f"error: degenerate data: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

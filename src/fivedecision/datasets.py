@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 
 from .stattests import GroupSummary
 
@@ -26,13 +24,16 @@ class SummaryDataset:
 def chickweight_summary() -> SummaryDataset:
     """Chick weights on day 20 for protein diets 2 and 3 (summary
     statistics only; see the dataset note for provenance)."""
-    raw = json.loads(
-        resources.files("fivedecision.data")
-        .joinpath("chickweight_summary.json")
-        .read_text()
+    return SummaryDataset(
+        note=(
+            "Summary statistics for chick weights (grams) measured on day 20 "
+            "under experimental protein diets 2 and 3. Source: the ChickWeight "
+            "data set distributed with base R; raw records are not bundled, "
+            "only these per-group summaries."
+        ),
+        labels=("diet 2", "diet 3"),
+        groups=(
+            GroupSummary(n=10, mean=205.6, sd=70.3),
+            GroupSummary(n=10, mean=258.9, sd=65.2),
+        ),
     )
-    labels = tuple(g["label"] for g in raw["groups"])
-    groups = tuple(
-        GroupSummary(n=g["n"], mean=g["mean"], sd=g["sd"]) for g in raw["groups"]
-    )
-    return SummaryDataset(note=raw["note"], labels=labels, groups=groups)

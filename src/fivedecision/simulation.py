@@ -44,8 +44,8 @@ __all__ = [
     "wrong_rejection_grid",
 ]
 
-# Trials per random-stream block, and per task on a process pool; part
-# of the stream definition, so changing it changes every report.
+# Trials per random-stream block, and tasks are whole runs of blocks;
+# part of the stream definition, so changing it changes every report.
 _CHUNK_TRIALS = 16384
 # Refuse configurations that stand for more observations (2n per
 # trial) than this.  The kernel draws two numbers per trial whatever
@@ -106,67 +106,57 @@ class SimulationReport:
         }
 
 
-def _blocks(start: int, count: int):
-    """(block, lo, hi) for each stream block that trials
-    [start, start+count) touch, where lo:hi is their span in the block."""
+def _draws(seed: int, start: int, count: int, n_per_group: int):
+    """Yield the (Z, V) sufficient statistics of trials [start,
+    start+count), one view per stream block they touch.
+
+    Block b holds trials [b*B, (b+1)*B) with B = _CHUNK_TRIALS; its
+    Philox counter starts at b in word 2, so blocks never share counter
+    values, and a block's draws depend only on (seed, b).  Every block
+    is drawn into the same two buffers, which callers may transform in
+    place; the next block overwrites them.  Fresh block-sized buffers
+    would be freed at the top of the heap, handed back to the system
+    and faulted in again, which can cost a fifth of the run time.
+    """
+    import numpy as np
+
+    z, v = np.empty(_CHUNK_TRIALS), np.empty(_CHUNK_TRIALS)
     end = start + count
     for block in range(start // _CHUNK_TRIALS, (end - 1) // _CHUNK_TRIALS + 1):
         first = block * _CHUNK_TRIALS
-        yield block, max(start, first) - first, min(end, first + _CHUNK_TRIALS) - first
-
-
-def _draw_block(seed: int, block: int, hi: int, n_per_group: int, z, v) -> None:
-    """Fill z with block's B normals and v[:hi] with its first hi V values."""
-    import numpy as np
-
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
-    # All B normals come first, so the gammas start at the same
-    # stream position however few of them are needed.
-    gen.standard_normal(out=z)
-    gen.standard_gamma(n_per_group - 1, out=v[:hi])
-    v[:hi] *= 2.0
+        lo, hi = max(start, first) - first, min(end, first + _CHUNK_TRIALS) - first
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
+        # All B normals come first, so the gammas start at the same
+        # stream position however few of them are needed.
+        gen.standard_normal(out=z)
+        gen.standard_gamma(n_per_group - 1, out=v[:hi])
+        v[lo:hi] *= 2.0
+        yield z[lo:hi], v[lo:hi]
 
 
 def _trial_draws(
     seed: int, start: int, count: int, n_per_group: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sufficient statistics (Z, V) of trials [start, start+count).
-
-    Block b holds trials [b*B, (b+1)*B) with B = _CHUNK_TRIALS; its
-    Philox counter starts at b in word 2, so blocks never share
-    counter values.  A block's draws depend only on (seed, b), and any
-    span of trials is sliced out of the blocks it touches.
-    """
+    """Copies of the (Z, V) of trials [start, start+count), joined."""
     import numpy as np
 
-    z, v = np.empty(_CHUNK_TRIALS), np.empty(_CHUNK_TRIALS)
-    zs, vs = [], []
-    for block, lo, hi in _blocks(start, count):
-        _draw_block(seed, block, hi, n_per_group, z, v)
-        zs.append(z[lo:hi].copy())
-        vs.append(v[lo:hi].copy())
+    draws = _draws(seed, start, count, n_per_group)
+    zs, vs = zip(*[(z.copy(), v.copy()) for z, v in draws])
     return np.concatenate(zs), np.concatenate(vs)
 
 
 def _simulate_chunk(args: tuple) -> np.ndarray:
     """Decision tallies (length-6 array indexed by decision) for trials
-    [start, start+count).  Top level so process pools can pickle it.
-
-    Every block is drawn into the same two buffers and transformed in
-    place.  Block-sized temporaries freed at the top of the heap are
-    handed back to the system by the allocator and faulted in again on
-    the next block, which can cost a fifth of the run time.
+    [start, start+count), transforming the draws in place.  Top level
+    so process pools can pickle it.
     """
     import numpy as np
 
     seed, start, count, n, effect, boundaries, merge = args
     shift = effect * math.sqrt(n / 2.0)
     merge = np.array(merge)
-    z, v = np.empty(_CHUNK_TRIALS), np.empty(_CHUNK_TRIALS)
     totals = np.zeros(6, dtype=np.int64)
-    for block, lo, hi in _blocks(start, count):
-        _draw_block(seed, block, hi, n, z, v)
-        t, s = z[lo:hi], v[lo:hi]
+    for t, s in _draws(seed, start, count, n):
         s /= 2 * n - 2
         np.sqrt(s, out=s)
         t += shift
@@ -179,11 +169,14 @@ def _simulate_chunk(args: tuple) -> np.ndarray:
 def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
     """Run all trials and tally decisions.
 
-    workers > 1 distributes fixed-size chunks over a process pool; the
-    report is identical for any worker count.
+    The trials are cut into at most `workers` contiguous, block-aligned
+    tasks of equal block count (the last may be shorter).  One task
+    runs in this process; more run on a process pool with one worker
+    per task.  The report is identical for any worker count.
     """
     # numpy and the pool load here, not at module import, so importing
-    # the package and every other CLI command start without them.
+    # the package and every other CLI command start without them.  numpy
+    # loads before the pool starts, so forked workers inherit it.
     import numpy as np
 
     if workers < 1:
@@ -191,9 +184,9 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
     null = student_t(2 * cfg.n_per_group - 2)
     boundaries = decision_regions(null, cfg.alpha).boundaries
 
-    # One worker runs every block in one task, reusing its buffers; a
-    # pool gets one task per block.
-    span = cfg.trials if workers == 1 else _CHUNK_TRIALS
+    # ceil(blocks / workers) blocks per task
+    blocks = -(-cfg.trials // _CHUNK_TRIALS)
+    span = -(-blocks // workers) * _CHUNK_TRIALS
     tasks = [
         (
             cfg.seed,
@@ -206,16 +199,13 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
         )
         for start in range(0, cfg.trials, span)
     ]
-    totals = np.zeros(6, dtype=np.int64)
-    if workers == 1 or len(tasks) == 1:
-        for task in tasks:
-            totals += _simulate_chunk(task)
+    if len(tasks) == 1:
+        totals = _simulate_chunk(tasks[0])
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            for counts in pool.map(_simulate_chunk, tasks):
-                totals += counts
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            totals = sum(pool.map(_simulate_chunk, tasks), np.zeros(6, np.int64))
 
     keys = cfg.procedure.index_set
     counts = {k: int(totals[k]) for k in keys}

@@ -1,5 +1,5 @@
 """numpy and the process pool load only when a simulation runs, and
-statistics and fractions never do.
+statistics, fractions and importlib.resources never do.
 
 Each check runs in a fresh interpreter, because the test modules load
 numpy themselves.
@@ -59,6 +59,15 @@ def test_package_loads_no_exact_arithmetic():
         "print([m for m in ('statistics', 'fractions') if m in sys.modules])"
     )
     assert _python("-c", probe) == "[]\n"
+
+
+def test_package_loads_no_resource_files():
+    # -S skips site, whose .pth files may load importlib.resources first.
+    probe = (
+        "import sys, fivedecision.cli; "
+        "print('importlib.resources' in sys.modules)"
+    )
+    assert _python("-S", "-c", probe) == "False\n"
 
 
 @pytest.mark.parametrize(

@@ -330,13 +330,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_simulation(BASE, workers=0)
 
-    @pytest.mark.parametrize("workers, pool_size", [(2, 2), (64, 3)])
-    def test_pool_never_larger_than_task_count(self, monkeypatch, workers, pool_size):
-        # An inline stand-in for the pool records its size and runs
-        # every task here, so no worker process is ever started.
+    @pytest.fixture
+    def inline_pool(self, monkeypatch):
+        """Stand-ins for the pool and the chunk kernel that run every task
+        here, so no worker process is ever started.  Returns the pool
+        sizes built and the (start, count) of every task, in order."""
         import concurrent.futures
 
-        sizes = []
+        sizes, tasks = [], []
 
         class InlinePool:
             def __init__(self, max_workers):
@@ -351,8 +352,43 @@ class TestValidation:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
+        chunk = fivedecision.simulation._simulate_chunk
+
+        def recording_chunk(task):
+            tasks.append(task[1:3])
+            return chunk(task)
+
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(fivedecision.simulation, "_simulate_chunk", recording_chunk)
+        return sizes, tasks
+
+    @pytest.mark.parametrize("workers, pool_size", [(2, 2), (64, 3)])
+    def test_pool_never_larger_than_task_count(self, inline_pool, workers, pool_size):
+        sizes, tasks = inline_pool
         cfg = dataclasses.replace(BASE, trials=2 * _CHUNK_TRIALS + 5)
         report = run_simulation(cfg, workers=workers)
         assert sizes == [pool_size]
+        # Contiguous, block-aligned, covering [0, trials), at most one
+        # task per worker.
+        assert len(tasks) == pool_size <= workers
+        assert tasks[0][0] == 0
+        for (start, count), (next_start, _) in zip(tasks, tasks[1:]):
+            assert next_start == start + count
+        assert all(start % _CHUNK_TRIALS == 0 for start, _ in tasks)
+        assert sum(count for _, count in tasks) == cfg.trials
         assert report == run_simulation(cfg, workers=1)
+
+    def test_five_blocks_on_two_workers_split_three_and_two(self, inline_pool):
+        sizes, tasks = inline_pool
+        cfg = dataclasses.replace(BASE, trials=5 * _CHUNK_TRIALS)
+        report = run_simulation(cfg, workers=2)
+        assert sizes == [2]
+        assert tasks == [(0, 3 * _CHUNK_TRIALS), (3 * _CHUNK_TRIALS, 2 * _CHUNK_TRIALS)]
+        assert report == run_simulation(cfg, workers=1)
+
+    def test_one_worker_runs_one_task_and_no_pool(self, inline_pool):
+        sizes, tasks = inline_pool
+        cfg = dataclasses.replace(BASE, trials=3 * _CHUNK_TRIALS + 7)
+        run_simulation(cfg, workers=1)
+        assert sizes == []
+        assert tasks == [(0, cfg.trials)]
