@@ -15,85 +15,63 @@ formulas, a deterministic Monte Carlo error-rate simulator, and a command
 line front end.
 """
 
-from .datasets import SummaryDataset, chickweight_summary
-from .decisions import (
-    Decision,
-    DecisionRegions,
-    Hypothesis,
-    Procedure,
-    RegionInterval,
-    decision_regions,
-    five_decision,
-    five_decision_via_ci,
-    five_decision_via_three_tests,
-    jones_tukey_decision,
-    kaiser_decision,
-)
-from .distributions import Kind, NullDistribution, standard_normal, student_t
-from .power import (
-    PowerSpec,
-    SampleSizeInputs,
-    SampleSizeResult,
-    as_whole_percent,
-    power_wald,
-    reduction,
-    reduction_table,
-    sample_size,
-)
-from .simulation import (
-    SimulationConfig,
-    SimulationReport,
-    run_simulation,
-    wrong_rejection_grid,
-)
-from .stattests import (
-    DegenerateDataError,
-    GroupSummary,
-    TestResult,
-    confidence_interval,
-    two_sample_t,
-    two_sample_t_raw,
-    wald,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "Decision",
-    "DecisionRegions",
-    "DegenerateDataError",
-    "GroupSummary",
-    "Hypothesis",
-    "Kind",
-    "NullDistribution",
-    "PowerSpec",
-    "Procedure",
-    "RegionInterval",
-    "SampleSizeInputs",
-    "SampleSizeResult",
-    "SimulationConfig",
-    "SimulationReport",
-    "SummaryDataset",
-    "TestResult",
-    "as_whole_percent",
-    "chickweight_summary",
-    "confidence_interval",
-    "decision_regions",
-    "five_decision",
-    "five_decision_via_ci",
-    "five_decision_via_three_tests",
-    "jones_tukey_decision",
-    "kaiser_decision",
-    "power_wald",
-    "reduction",
-    "reduction_table",
-    "run_simulation",
-    "sample_size",
-    "standard_normal",
-    "student_t",
-    "two_sample_t",
-    "two_sample_t_raw",
-    "wald",
-    "wrong_rejection_grid",
-    "__version__",
-]
+# Each public name and the submodule that defines it.  A submodule is
+# imported on first access, so a command loads only the modules it uses.
+_SOURCES = {
+    "SummaryDataset": "datasets",
+    "chickweight_summary": "datasets",
+    "Decision": "decisions",
+    "DecisionRegions": "decisions",
+    "Hypothesis": "decisions",
+    "Procedure": "decisions",
+    "RegionInterval": "decisions",
+    "decision_regions": "decisions",
+    "five_decision": "decisions",
+    "five_decision_via_ci": "decisions",
+    "five_decision_via_three_tests": "decisions",
+    "jones_tukey_decision": "decisions",
+    "kaiser_decision": "decisions",
+    "Kind": "distributions",
+    "NullDistribution": "distributions",
+    "standard_normal": "distributions",
+    "student_t": "distributions",
+    "PowerSpec": "power",
+    "SampleSizeInputs": "power",
+    "SampleSizeResult": "power",
+    "as_whole_percent": "power",
+    "power_wald": "power",
+    "reduction": "power",
+    "reduction_table": "power",
+    "sample_size": "power",
+    "SimulationConfig": "simulation",
+    "SimulationReport": "simulation",
+    "run_simulation": "simulation",
+    "wrong_rejection_grid": "simulation",
+    "DegenerateDataError": "stattests",
+    "GroupSummary": "stattests",
+    "TestResult": "stattests",
+    "confidence_interval": "stattests",
+    "two_sample_t": "stattests",
+    "two_sample_t_raw": "stattests",
+    "wald": "stattests",
+}
+
+__all__ = [*_SOURCES, "__version__"]
+
+
+def __getattr__(name: str):
+    """PEP 562: import the submodule that defines a public name on first
+    access, and keep the value so later lookups skip this hook."""
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return __all__

@@ -11,16 +11,16 @@ Subcommands:
 
 Each subcommand takes --format {text,json,tsv}.  JSON output is always
 full precision with sorted keys; --precision only affects the rounded
-text and tsv views.  Exit codes: 0 success, 2 usage or parse errors,
+text and tsv views.  Exit codes: 0 success, 1 stdout closed before
+the output was written (as by `| head`), 2 usage or parse errors,
 3 degenerate data.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -36,18 +36,6 @@ from .decisions import (
     kaiser_decision,
 )
 from .distributions import standard_normal, student_t
-from .power import (
-    DEFAULT_TABLE_ALPHAS,
-    DEFAULT_TABLE_PSIS,
-    PowerSpec,
-    SampleSizeInputs,
-    as_whole_percent,
-    power_wald,
-    reduction,
-    reduction_table,
-    sample_size,
-)
-from .simulation import SimulationConfig, run_simulation
 from .stattests import (
     DegenerateDataError,
     GroupSummary,
@@ -58,6 +46,7 @@ from .stattests import (
 __all__ = ["main"]
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 
@@ -106,10 +95,12 @@ def _parse_summary(text: str) -> tuple[GroupSummary, GroupSummary]:
 
 def _parse_csv(path: str) -> tuple[list[str], dict[str, list[float]]]:
     """Groups in order of first appearance from a group,value file."""
+    import csv
+
     labels: list[str] = []
     groups: dict[str, list[float]] = {}
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     with handle:
@@ -252,6 +243,8 @@ def cmd_decide(args: argparse.Namespace) -> _View:
 # ----------------------------------------------------------------- power
 
 def cmd_power(args: argparse.Namespace) -> _View:
+    from .power import PowerSpec, power_wald
+
     with warnings.catch_warnings():
         if not args.target:
             # Reporting all four sides includes hypotheses on the wrong
@@ -277,6 +270,8 @@ def cmd_power(args: argparse.Namespace) -> _View:
 
 
 def cmd_samplesize(args: argparse.Namespace) -> _View:
+    from .power import SampleSizeInputs, as_whole_percent, reduction, sample_size
+
     inputs = SampleSizeInputs(
         alpha=args.alpha,
         psi=args.power,
@@ -324,6 +319,13 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def cmd_table(args: argparse.Namespace) -> _View:
+    from .power import (
+        DEFAULT_TABLE_ALPHAS,
+        DEFAULT_TABLE_PSIS,
+        as_whole_percent,
+        reduction_table,
+    )
+
     alphas = (
         _parse_float_list(args.alphas, "--alphas")
         if args.alphas
@@ -355,6 +357,8 @@ def cmd_table(args: argparse.Namespace) -> _View:
 # -------------------------------------------------------------- simulate
 
 def cmd_simulate(args: argparse.Namespace) -> _View:
+    from .simulation import SimulationConfig, run_simulation
+
     cfg = SimulationConfig(
         n_per_group=args.n,
         mean_diff_over_sigma=args.effect,
@@ -602,14 +606,25 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.format == "json":
-        print(json.dumps(view.payload, sort_keys=True, indent=2))
-    elif args.format == "tsv":
-        for row in view.rows:
-            print("\t".join(row))
-    else:
-        for line in view.lines:
-            print(line)
+    try:
+        if args.format == "json":
+            import json
+
+            print(json.dumps(view.payload, sort_keys=True, indent=2))
+        elif args.format == "tsv":
+            for row in view.rows:
+                print("\t".join(row))
+        else:
+            for line in view.lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point the rest of stdout at devnull, so
+        # that the interpreter's final flush does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     return EXIT_OK
 
 

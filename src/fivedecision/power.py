@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
-from typing import Sequence
 
 from .decisions import Hypothesis, _check_alpha, decision_regions
 from .distributions import cdf, quantile, standard_normal
@@ -160,7 +159,9 @@ def reduction_table(
 
 
 def as_whole_percent(fraction: float) -> int:
-    """Half-up rounding of a fraction to a whole percent."""
-    return int(
-        Decimal(fraction * 100.0).quantize(Decimal("1"), rounding=ROUND_HALF_UP)
-    )
+    """Half-up rounding of a fraction to a whole percent: halves round
+    away from zero.  Exact, on the integer ratio of fraction * 100.0;
+    a non-finite value raises OverflowError or ValueError."""
+    n, d = (fraction * 100.0).as_integer_ratio()
+    q = (2 * abs(n) + d) // (2 * d)
+    return q if n >= 0 else -q

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .decisions import Procedure, decision_regions
 from .decisions import _MERGE, _check_alpha, _index_from_boundaries, _wrong_indices

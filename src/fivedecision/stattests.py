@@ -12,8 +12,8 @@ version, and its mean is math.fsum(xs) / n.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .distributions import NullDistribution, cdf, quantile, standard_normal, student_t
 

@@ -3,6 +3,10 @@ and parse failures."""
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from fivedecision.decisions import Procedure
 from fivedecision.stattests import two_sample_t_raw
 
 CHICK_SUMMARY = "10,205.6,65.2,10,258.9,70.3"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +122,19 @@ class TestDecideCsv:
         assert payload["direction"] == "treat minus ctrl"
         assert payload["t_stat"] == pytest.approx(ref.t_stat, abs=1e-12)
         assert payload["estimate"] == pytest.approx(1.5, abs=1e-12)
+
+    def test_bom_and_crlf_read_like_plain_utf8(self, capsys, tmp_path):
+        # As Excel saves "CSV UTF-8": a byte-order mark, and CRLF line ends.
+        text = "group,value\nctrl,1.0\nctrl,2.0\ntreat,2.5\ntreat,3.5\n"
+        outputs = []
+        for prefix, newline in (("", "\n"), ("\ufeff", "\n"), ("\ufeff", "\r\n")):
+            path = tmp_path / "data.csv"
+            path.write_bytes((prefix + text.replace("\n", newline)).encode("utf-8"))
+            code, out, err = run_cli(capsys, "decide", "--csv", str(path), "--format", "json")
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
     def test_bad_header(self, capsys, tmp_path):
         path = self._write(tmp_path, "a,b\nx,1\n")
@@ -405,3 +423,19 @@ class TestRegions:
         lines = out.strip().splitlines()
         assert lines[0].split("\t")[0] == "alpha"
         assert len(lines) == 1 + 3 * 5  # header + 5 regions per level
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "tsv"])
+def test_closed_stdout_ends_quietly(fmt):
+    # The read end closes before the CLI writes, as `| head -0` would.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    argv = ["-m", "fivedecision", "decide", "--summary", CHICK_SUMMARY, "--format", fmt]
+    proc = subprocess.Popen(
+        [sys.executable, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

@@ -1,5 +1,6 @@
 """numpy and the process pool load only when a simulation runs, and
-statistics, fractions and importlib.resources never do.
+statistics, fractions and importlib.resources never do.  Each command
+loads only the modules it runs, and `import fivedecision` loads none.
 
 Each check runs in a fresh interpreter, because the test modules load
 numpy themselves.
@@ -11,11 +12,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
 
+import fivedecision
 from fivedecision.simulation import SimulationConfig, run_simulation
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+# The directory numpy is installed in.  On PYTHONPATH it stays importable
+# under `python -S`, which skips site and its .pth files.
+NUMPY_SITE = str(Path(numpy.__file__).resolve().parents[1])
 
 # Imports the package and its CLI, runs cli.main on the JSON argv in
 # sys.argv[1] (nothing if empty), and prints as JSON the exit code, the
@@ -31,10 +37,26 @@ print(json.dumps({"code": code, "loaded": loaded, "stdout": out.getvalue()}))
 
 SIM_ARGS = ["--n", "12", "--effect", "0.3", "--trials", "20000", "--seed", "9"]
 
+# Runs cli.main on sys.argv[1:] under `python -S`, so that no site .pth
+# file preloads a module, and prints the exit code and then the name of
+# every loaded module, one a line.  It imports nothing beyond io and sys.
+LOADS = """
+import io, sys
+from fivedecision import cli
+sys.stdout, stdout = io.StringIO(), sys.stdout
+code = cli.main(sys.argv[1:])
+sys.stdout = stdout
+print(code, *sys.modules, sep="\\n")
+"""
 
-def _python(*args):
+DECIDE = ["decide", "--summary", "10,205.6,65.2,10,258.9,70.3"]
+SIMULATION_ONLY = {"fivedecision.simulation", "numpy"}
+
+
+def _python(*args, path=()):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    parts = [SRC, *path, env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, parts))
     done = subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, check=True
     )
@@ -102,3 +124,75 @@ def test_pool_output_matches_one_worker():
     # 20000 trials make two chunks, so two workers take the pool path.
     argv = ["-m", "fivedecision", "simulate", *SIM_ARGS, "--format", "json"]
     assert _python(*argv, "--workers", "2") == _python(*argv, "--workers", "1")
+
+
+def _loads(*argv):
+    code, *modules = _python("-S", "-c", LOADS, *argv, path=[NUMPY_SITE]).split()
+    assert code == "0"
+    return set(modules)
+
+
+def test_bare_package_import_loads_no_submodule():
+    probe = "import fivedecision, sys; print([m for m in sys.modules if m.startswith('fivedecision')])"
+    assert _python("-S", "-c", probe) == "['fivedecision']\n"
+
+
+def test_decide_loads_only_what_it_runs():
+    unused = {"fivedecision.power", "fivedecision.datasets", "json", "csv", "decimal", "typing"}
+    assert _loads(*DECIDE) & (unused | SIMULATION_ONLY) == set()
+
+
+def test_csv_and_json_load_when_used(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("group,value\na,1\na,2\nb,2\nb,4\n")
+    csv_loads = _loads("decide", "--csv", str(path))
+    assert "csv" in csv_loads
+    assert "json" not in csv_loads
+    json_loads = _loads(*DECIDE, "--format", "json")
+    assert "json" in json_loads
+    assert "csv" not in json_loads
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["power", "--effect", "2.5"],
+        ["samplesize", "--power", "0.8", "--delta", "0.5", "--tau-sq", "2"],
+        ["table"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_planning_commands_load_power_not_simulation(argv):
+    loaded = _loads(*argv)
+    assert "fivedecision.power" in loaded
+    assert loaded & (SIMULATION_ONLY | {"decimal", "typing"}) == set()
+
+
+def test_simulate_loads_simulation_and_numpy():
+    loaded = _loads("simulate", *SIM_ARGS)
+    assert SIMULATION_ONLY <= loaded
+    assert "fivedecision.power" not in loaded
+
+
+class TestLazyNamespace:
+    def test_every_public_name_is_its_submodules_object(self):
+        for name in fivedecision.__all__:
+            value = getattr(fivedecision, name)
+            if name == "__version__":
+                continue
+            assert value.__module__.startswith("fivedecision.")
+            assert getattr(sys.modules[value.__module__], name) is value
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from fivedecision import *", namespace)
+        assert set(fivedecision.__all__) <= set(namespace)
+        assert namespace["run_simulation"] is run_simulation
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            fivedecision.no_such_name
+        assert not hasattr(fivedecision, "power_walds")
+
+    def test_dir_lists_the_public_names(self):
+        assert dir(fivedecision) == sorted(fivedecision.__all__)

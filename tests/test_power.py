@@ -2,9 +2,12 @@
 reduction table."""
 
 import math
+from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from fivedecision.decisions import Hypothesis
@@ -185,6 +188,11 @@ class TestSampleSize:
             SampleSizeInputs(alpha=0.7, psi=0.8, delta=0.5, tau=1.0)
 
 
+def _decimal_half_up(fraction):
+    # to_integral_value, unlike quantize, needs no context precision.
+    return int(Decimal(fraction * 100.0).to_integral_value(rounding=ROUND_HALF_UP))
+
+
 class TestReduction:
     def test_frozen_value(self):
         assert reduction(0.05, 0.80) == pytest.approx(0.21230067968005517, abs=1e-12)
@@ -193,6 +201,31 @@ class TestReduction:
         assert as_whole_percent(reduction(0.05, 0.80)) == 21
         assert as_whole_percent(reduction(0.05, 0.50)) == 30
         assert as_whole_percent(reduction(0.001, 0.99)) == 7
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-0.0)
+    @example(1.5e306)  # 100 times it overflows
+    def test_whole_percent_matches_decimal_half_up(self, fraction):
+        if not math.isfinite(fraction * 100.0):
+            with pytest.raises(OverflowError):
+                as_whole_percent(fraction)
+        else:
+            assert as_whole_percent(fraction) == _decimal_half_up(fraction)
+
+    def test_whole_percent_ties_round_away_from_zero(self):
+        for k in range(-300, 300):
+            fraction = (k + 0.5) / 100.0
+            assert as_whole_percent(fraction) == _decimal_half_up(fraction)
+        assert as_whole_percent(0.005) == 1
+        assert as_whole_percent(-0.005) == -1
+        assert as_whole_percent(0.125) == 13
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_whole_percent_refuses_non_finite(self, value):
+        # The CLI reports (ValueError, ArithmeticError) as a usage error.
+        with pytest.raises((ValueError, ArithmeticError)):
+            as_whole_percent(value)
 
     def test_strictly_positive(self):
         rng = np.random.default_rng(35)
