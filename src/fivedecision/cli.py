@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 
 from .decisions import (
     Decision,
@@ -53,16 +52,6 @@ EXIT_DEGENERATE = 3
 SCHEMA_VERSION = 1
 
 _TARGET_CHOICES = ("H1", "H2", "H4", "H5")
-
-
-@dataclass(frozen=True)
-class _View:
-    """What one command prints: main renders the payload as JSON, the
-    rows as TSV, or the lines as text."""
-
-    payload: dict
-    rows: list[list[str]]
-    lines: list[str]
 
 
 def _fmt(x: float, precision: int) -> str:
@@ -152,7 +141,7 @@ def _decision_sentence(d: Decision, t0: str) -> str:
     )
 
 
-def cmd_decide(args: argparse.Namespace) -> _View:
+def cmd_decide(args: argparse.Namespace) -> tuple[dict, list, list]:
     theta0 = args.theta0
     if args.summary is not None:
         first, second = _parse_summary(args.summary)
@@ -237,12 +226,12 @@ def cmd_decide(args: argparse.Namespace) -> _View:
             for procedure, d in decisions.items()
         },
     }
-    return _View(payload, rows, lines)
+    return payload, rows, lines
 
 
 # ----------------------------------------------------------------- power
 
-def cmd_power(args: argparse.Namespace) -> _View:
+def cmd_power(args: argparse.Namespace) -> tuple[dict, list, list]:
     from .power import PowerSpec, power_wald
 
     with warnings.catch_warnings():
@@ -266,10 +255,10 @@ def cmd_power(args: argparse.Namespace) -> _View:
         power = _fmt(v, args.precision)
         rows.append([name, power])
         lines.append(f"psi({name}) = {power} ({_fmt(100.0 * v, args.precision)}%)")
-    return _View(payload, rows, lines)
+    return payload, rows, lines
 
 
-def cmd_samplesize(args: argparse.Namespace) -> _View:
+def cmd_samplesize(args: argparse.Namespace) -> tuple[dict, list, list]:
     from .power import SampleSizeInputs, as_whole_percent, reduction, sample_size
 
     inputs = SampleSizeInputs(
@@ -305,7 +294,7 @@ def cmd_samplesize(args: argparse.Namespace) -> _View:
         f"strict target:     n = {strict.n} (exact {exact_s})",
         f"reduction from strict target: {percent} (exact {exact_saving})",
     ]
-    return _View(payload, rows, lines)
+    return payload, rows, lines
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -318,7 +307,7 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def cmd_table(args: argparse.Namespace) -> _View:
+def cmd_table(args: argparse.Namespace) -> tuple[dict, list, list]:
     from .power import (
         DEFAULT_TABLE_ALPHAS,
         DEFAULT_TABLE_PSIS,
@@ -351,12 +340,12 @@ def cmd_table(args: argparse.Namespace) -> _View:
     ]
     widths = [max(len(cell) for cell in column) for column in zip(*rows)]
     lines = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in rows]
-    return _View(payload, rows, lines)
+    return payload, rows, lines
 
 
 # -------------------------------------------------------------- simulate
 
-def cmd_simulate(args: argparse.Namespace) -> _View:
+def cmd_simulate(args: argparse.Namespace) -> tuple[dict, list, list]:
     from .simulation import SimulationConfig, run_simulation
 
     cfg = SimulationConfig(
@@ -383,12 +372,12 @@ def cmd_simulate(args: argparse.Namespace) -> _View:
     wrong_se = _fmt(report.wrong_rejection_mc_se, p)
     rows.append(["wrong_rejection", "", wrong, wrong_se])
     lines.append(f"wrong-rejection rate: {wrong} +- {wrong_se}")
-    return _View(report.to_dict(), rows, lines)
+    return report.to_dict(), rows, lines
 
 
 # --------------------------------------------------------------- regions
 
-def cmd_regions(args: argparse.Namespace) -> _View:
+def cmd_regions(args: argparse.Namespace) -> tuple[dict, list, list]:
     null = standard_normal() if args.null == "normal" else student_t(args.df)
     all_regions = [decision_regions(null, a) for a in args.alpha or [0.10, 0.05, 0.01]]
     p = args.precision
@@ -444,7 +433,7 @@ def cmd_regions(args: argparse.Namespace) -> _View:
         "df": args.df if args.null == "t" else None,
         "regions": regions,
     }
-    return _View(payload, rows, lines)
+    return payload, rows, lines
 
 
 # ---------------------------------------------------------------- parser
@@ -599,7 +588,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        view = args.func(args)
+        # Each cmd_* returns what it prints, rendered below as JSON (the
+        # payload), TSV (the rows) or text (the lines).
+        payload, rows, lines = args.func(args)
     except DegenerateDataError as exc:
         print(f"error: degenerate data: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -610,12 +601,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.format == "json":
             import json
 
-            print(json.dumps(view.payload, sort_keys=True, indent=2))
+            print(json.dumps(payload, sort_keys=True, indent=2))
         elif args.format == "tsv":
-            for row in view.rows:
+            for row in rows:
                 print("\t".join(row))
         else:
-            for line in view.lines:
+            for line in lines:
                 print(line)
         sys.stdout.flush()
     except BrokenPipeError:

@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .stattests import GroupSummary
 
 __all__ = ["SummaryDataset", "chickweight_summary"]
 
 
-@dataclass(frozen=True)
-class SummaryDataset:
+class SummaryDataset(namedtuple("SummaryDataset", "note labels groups")):
     """Per-group summaries plus a provenance note, ordered as bundled."""
 
-    note: str
-    labels: tuple[str, ...]
-    groups: tuple[GroupSummary, ...]
+    __slots__ = ()
 
     def group(self, label: str) -> GroupSummary:
         return self.groups[self.labels.index(label)]

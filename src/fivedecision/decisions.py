@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .distributions import NullDistribution, quantile
 from .stattests import TestResult
@@ -76,11 +76,11 @@ _COMPARATORS = {
 }
 
 
-@dataclass(frozen=True)
-class Decision:
-    index: int
-    rejected: Hypothesis
-    accepted_implicitly: Hypothesis
+class Decision(namedtuple("Decision", "index rejected accepted_implicitly")):
+    """Verdict ``index`` (1-5), the Hypothesis it rejects and the one it
+    accepts implicitly (Hypothesis.NONE for both at 3)."""
+
+    __slots__ = ()
 
     @classmethod
     def from_index(cls, index: int) -> "Decision":
@@ -99,23 +99,18 @@ _DECISIONS = (
 )
 
 
-@dataclass(frozen=True)
-class RegionInterval:
+class RegionInterval(
+    namedtuple("RegionInterval", "index lower upper lower_closed upper_closed rejected")
+):
     """One labeled decision region, for tabulation or plotting."""
 
-    index: int
-    lower: float
-    upper: float
-    lower_closed: bool
-    upper_closed: bool
-    rejected: Hypothesis
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DecisionRegions:
-    alpha: float
-    boundaries: tuple[float, float, float, float]
-    null: NullDistribution
+class DecisionRegions(namedtuple("DecisionRegions", "alpha boundaries null")):
+    """The level, its four boundaries (q1, q2, q3, q4) and the null."""
+
+    __slots__ = ()
 
     def intervals(self) -> list[RegionInterval]:
         q1, q2, q3, q4 = self.boundaries

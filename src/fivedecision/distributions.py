@@ -22,7 +22,7 @@ import enum
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "Kind",
@@ -54,20 +54,22 @@ class Kind(enum.Enum):
     STUDENT_T = "StudentT"
 
 
-@dataclass(frozen=True)
-class NullDistribution:
+class NullDistribution(namedtuple("NullDistribution", "kind df")):
     """Distribution of a test statistic when the parameter sits at the
     tested value.  ``df`` is present exactly when ``kind`` is Student t."""
 
-    kind: Kind
-    df: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind is Kind.STUDENT_T:
-            if self.df is None or not 0.0 < self.df <= _MAX_DF:
-                raise ValueError(f"StudentT requires 0 < df <= 2**53, got {self.df!r}")
-        elif self.df is not None:
+    def __new__(cls, kind: Kind, df: float | None = None):
+        if kind is Kind.STUDENT_T:
+            if df is None or not 0.0 < df <= _MAX_DF:
+                raise ValueError(f"StudentT requires 0 < df <= 2**53, got {df!r}")
+        elif df is not None:
             raise ValueError("df is only meaningful for StudentT")
+        return super().__new__(cls, kind, df)
+
+    # The inherited _make, which _replace calls, skips __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def standard_normal() -> NullDistribution:
@@ -83,14 +85,18 @@ _NORMAL = standard_normal()
 
 def _lgamma_half_shift(a: float) -> float:
     # lgamma(a + 1/2) - lgamma(a).  The direct difference of two lgamma
-    # calls carries ~a*log(a)*eps of absolute error, which breaks the
-    # CDF tolerance once df reaches ~1e5, so switch to a Stirling
-    # difference there.  Both branches agree to ~1e-15 at a=200.
-    if a < 200.0:
+    # calls carries ~a*log(a)*eps of absolute error (1e-13 at a = 150),
+    # which the t tail's complement form amplifies, so from a = 20 on it
+    # is the difference of two Stirling series to the 1/(1680 a^7) term,
+    # within ~1e-15 of the exact value there.
+    if a < 20.0:
         return math.lgamma(a + 0.5) - math.lgamma(a)
+    b = a + 0.5
     d = 0.5 * math.log(a) + a * math.log1p(0.5 / a) - 0.5
-    d -= 1.0 / (24.0 * a * (a + 0.5))
-    d += (a**-3 - (a + 0.5) ** -3) / 360.0
+    d -= 1.0 / (24.0 * a * b)
+    d += (a**-3 - b**-3) / 360.0
+    d -= (a**-5 - b**-5) / 1260.0
+    d += (a**-7 - b**-7) / 1680.0
     return d
 
 

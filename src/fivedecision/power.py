@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .decisions import Hypothesis, _check_alpha, decision_regions
 from .distributions import cdf, quantile, standard_normal
@@ -43,8 +43,7 @@ DEFAULT_TABLE_PSIS = (0.50, 0.80, 0.90, 0.95, 0.99)
 _TARGETS = (Hypothesis.H1, Hypothesis.H2, Hypothesis.H4, Hypothesis.H5)
 
 
-@dataclass(frozen=True)
-class PowerSpec:
+class PowerSpec(namedtuple("PowerSpec", "alpha effect target")):
     """Which rejection to aim for, at which level, at which effect.
 
     The effect is standardized: (theta - theta0)/SE(theta_hat).
@@ -53,53 +52,56 @@ class PowerSpec:
     still well defined, so it warns instead of raising.
     """
 
-    alpha: float
-    effect: float
-    target: Hypothesis
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-        if not math.isfinite(self.effect):
+    def __new__(cls, alpha: float, effect: float, target: Hypothesis):
+        _check_alpha(alpha)
+        if not math.isfinite(effect):
             raise ValueError("effect must be finite")
-        if self.target not in _TARGETS:
-            raise ValueError(f"target must be one of H1, H2, H4, H5, got {self.target}")
-        if self.target in (Hypothesis.H4, Hypothesis.H5) and self.effect < 0:
+        if target not in _TARGETS:
+            raise ValueError(f"target must be one of H1, H2, H4, H5, got {target}")
+        # stacklevel=2 names the line that built the spec.
+        if target in (Hypothesis.H4, Hypothesis.H5) and effect < 0:
             warnings.warn(
                 "rejecting H4/H5 is the correct conclusion only for effect > 0",
                 stacklevel=2,
             )
-        if self.target in (Hypothesis.H1, Hypothesis.H2) and self.effect > 0:
+        if target in (Hypothesis.H1, Hypothesis.H2) and effect > 0:
             warnings.warn(
                 "rejecting H1/H2 is the correct conclusion only for effect < 0",
                 stacklevel=2,
             )
+        return super().__new__(cls, alpha, effect, target)
+
+    # The inherited _make, which _replace calls, skips __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class SampleSizeInputs:
+class SampleSizeInputs(namedtuple("SampleSizeInputs", "alpha psi delta tau")):
     """Planning inputs: level, target power, smallest difference worth
     detecting (outcome units), and the SE scale tau with
     SE(theta_hat) = tau/sqrt(n)."""
 
-    alpha: float
-    psi: float
-    delta: float
-    tau: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-        if not 0.0 < self.psi < 1.0:
-            raise ValueError(f"psi must lie in (0, 1), got {self.psi!r}")
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be positive, got {self.tau!r}")
+    def __new__(cls, alpha: float, psi: float, delta: float, tau: float):
+        _check_alpha(alpha)
+        if not 0.0 < psi < 1.0:
+            raise ValueError(f"psi must lie in (0, 1), got {psi!r}")
+        if not (math.isfinite(delta) and delta > 0):
+            raise ValueError(f"delta must be positive, got {delta!r}")
+        if not (math.isfinite(tau) and tau > 0):
+            raise ValueError(f"tau must be positive, got {tau!r}")
+        return super().__new__(cls, alpha, psi, delta, tau)
+
+    # The inherited _make, which _replace calls, skips __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class SampleSizeResult:
-    n_exact: float
-    n: int
+class SampleSizeResult(namedtuple("SampleSizeResult", "n_exact n")):
+    """The formula's sample size (a float) and its ceiling."""
+
+    __slots__ = ()
 
 
 def power_wald(spec: PowerSpec) -> float:

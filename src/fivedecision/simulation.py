@@ -27,10 +27,9 @@ changes the stream.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .decisions import Procedure, decision_regions
 from .decisions import _MERGE, _check_alpha, _index_from_boundaries, _wrong_indices
@@ -53,40 +52,54 @@ _CHUNK_TRIALS = 16384
 _MAX_DRAWS = 1 << 40
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    n_per_group: int
-    mean_diff_over_sigma: float
-    alpha: float
-    trials: int
-    seed: int
-    procedure: Procedure = Procedure.FIVE_DECISION
+class SimulationConfig(
+    namedtuple(
+        "SimulationConfig",
+        "n_per_group mean_diff_over_sigma alpha trials seed procedure",
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_per_group < 2:
-            raise ValueError(f"n_per_group must be at least 2, got {self.n_per_group}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if not math.isfinite(self.mean_diff_over_sigma):
+    def __new__(
+        cls,
+        n_per_group: int,
+        mean_diff_over_sigma: float,
+        alpha: float,
+        trials: int,
+        seed: int,
+        procedure: Procedure = Procedure.FIVE_DECISION,
+    ):
+        if n_per_group < 2:
+            raise ValueError(f"n_per_group must be at least 2, got {n_per_group}")
+        if trials < 1:
+            raise ValueError(f"trials must be at least 1, got {trials}")
+        if not math.isfinite(mean_diff_over_sigma):
             raise ValueError("mean_diff_over_sigma must be finite")
-        _check_alpha(self.alpha)
-        if not 0 <= self.seed < 2**64:
+        _check_alpha(alpha)
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
-        if not isinstance(self.procedure, Procedure):
-            raise ValueError(f"unknown procedure {self.procedure!r}")
-        if 2 * self.n_per_group * self.trials > _MAX_DRAWS:
+        if not isinstance(procedure, Procedure):
+            raise ValueError(f"unknown procedure {procedure!r}")
+        if 2 * n_per_group * trials > _MAX_DRAWS:
             raise ValueError("trials * n_per_group is too large to simulate")
+        return super().__new__(
+            cls, n_per_group, mean_diff_over_sigma, alpha, trials, seed, procedure
+        )
+
+    # The inherited _make, which _replace calls, skips __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class SimulationReport:
-    config: SimulationConfig
-    counts: dict[int, int]
-    freq: dict[int, float]
-    mc_se: dict[int, float]
-    wrong_rejection_rate: float
-    wrong_rejection_mc_se: float
-    seed: int
+class SimulationReport(
+    namedtuple(
+        "SimulationReport",
+        "config counts freq mc_se wrong_rejection_rate wrong_rejection_mc_se seed",
+    )
+):
+    """counts, freq and mc_se map each verdict of the procedure to its
+    count, frequency and Monte Carlo standard error."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         """JSON-ready form; keys are stable and values full precision."""
@@ -235,7 +248,7 @@ def wrong_rejection_grid(
     (including the seed) fixed.  Returns (effect, rate, mc_se) rows."""
     rows = []
     for effect in effects:
-        cfg = dataclasses.replace(cfg_template, mean_diff_over_sigma=float(effect))
+        cfg = cfg_template._replace(mean_diff_over_sigma=float(effect))
         report = run_simulation(cfg, workers=workers)
         rows.append(
             (float(effect), report.wrong_rejection_rate, report.wrong_rejection_mc_se)

@@ -12,8 +12,8 @@ version, and its mean is math.fsum(xs) / n.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .distributions import NullDistribution, cdf, quantile, standard_normal, student_t
 
@@ -34,35 +34,33 @@ class DegenerateDataError(ValueError):
     can map it to its own exit code."""
 
 
-@dataclass(frozen=True)
-class GroupSummary:
+class GroupSummary(namedtuple("GroupSummary", "n mean sd")):
     """Size, mean, and sample standard deviation of one group."""
 
-    n: int
-    mean: float
-    sd: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"group size must be at least 2, got {self.n}")
-        if not (math.isfinite(self.mean) and math.isfinite(self.sd)):
+    def __new__(cls, n: int, mean: float, sd: float):
+        if n < 2:
+            raise ValueError(f"group size must be at least 2, got {n}")
+        if not (math.isfinite(mean) and math.isfinite(sd)):
             raise ValueError("mean and sd must be finite")
-        if self.sd <= 0:
-            raise ValueError(f"sd must be positive, got {self.sd}")
-        if self.sd * self.sd == 0.0:
+        if sd <= 0:
+            raise ValueError(f"sd must be positive, got {sd}")
+        if sd * sd == 0.0:
             # The pooled variance would be 0 and the data look degenerate.
-            raise ValueError(f"sd {self.sd!r} is too small: its square underflows to 0")
+            raise ValueError(f"sd {sd!r} is too small: its square underflows to 0")
+        return super().__new__(cls, n, mean, sd)
+
+    # The inherited _make, which _replace calls, skips __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(namedtuple("TestResult", "t_stat null p_two_sided estimate se")):
+    """The statistic, its NullDistribution and two-sided p-value, and the
+    estimate with its standard error."""
+
+    __slots__ = ()
     __test__ = False  # not a pytest test class despite the name
-
-    t_stat: float
-    null: NullDistribution
-    p_two_sided: float
-    estimate: float
-    se: float
 
 
 def _result(estimate: float, se: float, theta0: float, null: NullDistribution) -> TestResult:

@@ -505,6 +505,29 @@ SLOPE_DISTS = [standard_normal()] + [
 SLOPE_TS = [1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0, 1e2, 1e4, 1e10, 1e100]
 
 
+class TestLgammaHalfShift:
+    # lgamma(a + 1/2) - lgamma(a) scales every t tail, and the complement
+    # form just below the Pfaff switch multiplies its error by up to ~300.
+
+    def test_stirling_branch_matches_mpmath(self):
+        # 400 log-spaced a from the branch start, 20, to df/2 at df 2**53.
+        with mpmath.workdps(40):
+            for a in np.logspace(np.log10(20.0), 52 * np.log10(2.0), 400):
+                a = float(a)
+                ref = mpmath.loggamma(mpmath.mpf(a) + 0.5) - mpmath.loggamma(a)
+                got = distributions._lgamma_half_shift(a)
+                assert got == pytest.approx(float(ref), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("df, t", [(290.0, 3.003), (367.84, 3.0057), (196.3, 3.0053)])
+    def test_tail_below_the_pfaff_switch(self, df, t):
+        # Tails near 1.5e-3, read from the complement form; a direct
+        # lgamma difference in the prefactor puts them up to 7e-11 off.
+        with mpmath.workdps(40):
+            x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
+            ref = float(mpmath.betainc(df / 2, 0.5, 0, x, regularized=True) / 2)
+        assert cdf(student_t(df), -t) == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
 class TestTailSlope:
     # The solver's Newton step reads the second value of _upper_tail, the
     # log-slope t * f(t) / P(T > t) of the tail.

@@ -1,6 +1,7 @@
 """numpy and the process pool load only when a simulation runs, and
-statistics, fractions and importlib.resources never do.  Each command
-loads only the modules it runs, and `import fivedecision` loads none.
+statistics, fractions, importlib.resources and dataclasses never do.
+Each command loads only the modules it runs, and `import fivedecision`
+loads none.
 
 Each check runs in a fresh interpreter, because the test modules load
 numpy themselves.
@@ -51,6 +52,9 @@ print(code, *sys.modules, sep="\\n")
 
 DECIDE = ["decide", "--summary", "10,205.6,65.2,10,258.9,70.3"]
 SIMULATION_ONLY = {"fivedecision.simulation", "numpy"}
+# The records are named tuples, so no command loads dataclasses, nor the
+# inspect it imports; numpy, which simulate loads, imports inspect itself.
+DATACLASS_MODULES = {"dataclasses", "inspect"}
 
 
 def _python(*args, path=()):
@@ -139,7 +143,7 @@ def test_bare_package_import_loads_no_submodule():
 
 def test_decide_loads_only_what_it_runs():
     unused = {"fivedecision.power", "fivedecision.datasets", "json", "csv", "decimal", "typing"}
-    assert _loads(*DECIDE) & (unused | SIMULATION_ONLY) == set()
+    assert _loads(*DECIDE) & (unused | SIMULATION_ONLY | DATACLASS_MODULES) == set()
 
 
 def test_csv_and_json_load_when_used(tmp_path):
@@ -165,13 +169,19 @@ def test_csv_and_json_load_when_used(tmp_path):
 def test_planning_commands_load_power_not_simulation(argv):
     loaded = _loads(*argv)
     assert "fivedecision.power" in loaded
-    assert loaded & (SIMULATION_ONLY | {"decimal", "typing"}) == set()
+    assert loaded & (SIMULATION_ONLY | DATACLASS_MODULES | {"decimal", "typing"}) == set()
+
+
+def test_regions_loads_neither_power_nor_simulation():
+    unused = {"fivedecision.power", "decimal", "typing"}
+    assert _loads("regions") & (unused | SIMULATION_ONLY | DATACLASS_MODULES) == set()
 
 
 def test_simulate_loads_simulation_and_numpy():
     loaded = _loads("simulate", *SIM_ARGS)
     assert SIMULATION_ONLY <= loaded
     assert "fivedecision.power" not in loaded
+    assert "dataclasses" not in loaded
 
 
 class TestLazyNamespace:

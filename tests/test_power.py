@@ -105,6 +105,11 @@ class TestPowerWald:
         with pytest.warns(UserWarning):
             PowerSpec(0.05, 1.0, Hypothesis.H2)
 
+    def test_sign_mismatch_warning_names_the_caller(self):
+        with pytest.warns(UserWarning) as caught:
+            PowerSpec(0.05, -1.0, Hypothesis.H4)
+        assert caught[0].filename == __file__
+
     def test_zero_effect_does_not_warn(self, recwarn):
         PowerSpec(0.05, 0.0, Hypothesis.H4)
         assert len(recwarn) == 0

@@ -1,0 +1,164 @@
+"""The public records are named tuples: each checked one refuses bad
+input however it is built, and all of them keep the repr, immutability,
+value equality and pickling that callers rely on."""
+
+import pickle
+
+import pytest
+
+from fivedecision.datasets import chickweight_summary
+from fivedecision.decisions import Decision, Hypothesis, Procedure, decision_regions
+from fivedecision.distributions import Kind, NullDistribution, student_t
+from fivedecision.power import PowerSpec, SampleSizeInputs, sample_size
+from fivedecision.simulation import SimulationConfig, run_simulation
+from fivedecision.stattests import GroupSummary, two_sample_t
+
+# Each checked record: valid fields, one bad change, and its message.
+CHECKED = {
+    "NullDistribution": (
+        NullDistribution,
+        {"kind": Kind.STUDENT_T, "df": 18.0},
+        {"df": 0.0},
+        "StudentT requires 0 < df <= 2**53, got 0.0",
+    ),
+    "GroupSummary": (
+        GroupSummary,
+        {"n": 10, "mean": 205.6, "sd": 70.3},
+        {"n": 1},
+        "group size must be at least 2, got 1",
+    ),
+    "PowerSpec": (
+        PowerSpec,
+        {"alpha": 0.05, "effect": 2.5, "target": Hypothesis.H5},
+        {"target": Hypothesis.NONE},
+        "target must be one of H1, H2, H4, H5, got Hypothesis.NONE",
+    ),
+    "SampleSizeInputs": (
+        SampleSizeInputs,
+        {"alpha": 0.05, "psi": 0.8, "delta": 0.5, "tau": 1.0},
+        {"psi": 1.0},
+        "psi must lie in (0, 1), got 1.0",
+    ),
+    "SimulationConfig": (
+        SimulationConfig,
+        {"n_per_group": 10, "mean_diff_over_sigma": 0.0, "alpha": 0.05, "trials": 100, "seed": 1},
+        {"trials": 0},
+        "trials must be at least 1, got 0",
+    ),
+}
+
+WAYS = {
+    "positional": lambda cls, good, bad: cls(*bad.values()),
+    "keyword": lambda cls, good, bad: cls(**bad),
+    "_make": lambda cls, good, bad: cls._make(bad.values()),
+    "_replace": lambda cls, good, bad: good._replace(**bad),
+}
+
+
+@pytest.mark.parametrize("way", WAYS)
+@pytest.mark.parametrize("record", CHECKED)
+def test_bad_input_is_refused_however_built(record, way):
+    cls, fields, change, message = CHECKED[record]
+    good = cls(**fields)
+    bad = {**good._asdict(), **change}
+    with pytest.raises(ValueError) as exc:
+        WAYS[way](cls, good, bad)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("record", CHECKED)
+def test_every_way_builds_the_same_record(record):
+    cls, fields, _, _ = CHECKED[record]
+    good = cls(**fields)
+    full = good._asdict()
+    built = [WAYS[way](cls, good, full) for way in WAYS]
+    assert all(type(b) is cls and b == good for b in built)
+
+
+def test_defaults():
+    assert NullDistribution(Kind.STANDARD_NORMAL).df is None
+    cfg = SimulationConfig(10, 0.0, 0.05, 100, 1)
+    assert cfg.procedure is Procedure.FIVE_DECISION
+
+
+def test_repr():
+    assert repr(student_t(18)) == "NullDistribution(kind=<Kind.STUDENT_T: 'StudentT'>, df=18.0)"
+    assert repr(GroupSummary(10, 205.6, 70.3)) == "GroupSummary(n=10, mean=205.6, sd=70.3)"
+    assert repr(Decision.from_index(4)) == (
+        "Decision(index=4, rejected=<Hypothesis.H4: 'H4'>, "
+        "accepted_implicitly=<Hypothesis.H1: 'H1'>)"
+    )
+    assert repr(SimulationConfig(10, 0.5, 0.05, 100, 1)) == (
+        "SimulationConfig(n_per_group=10, mean_diff_over_sigma=0.5, alpha=0.05, "
+        "trials=100, seed=1, procedure=<Procedure.FIVE_DECISION: 'five-decision'>)"
+    )
+    assert repr(sample_size(SampleSizeInputs(0.05, 0.8, 0.5, 1.0))) == (
+        "SampleSizeResult(n_exact=31.395518937396353, n=32)"
+    )
+
+
+def _records():
+    summary = chickweight_summary()
+    result = two_sample_t(*summary.groups)
+    regions = decision_regions(result.null, 0.05)
+    cfg = SimulationConfig(10, 0.5, 0.05, 100, 1)
+    return [
+        summary,
+        summary.groups[0],
+        result,
+        result.null,
+        regions,
+        regions.intervals()[0],
+        Decision.from_index(1),
+        PowerSpec(0.05, 2.5, Hypothesis.H5),
+        SampleSizeInputs(0.05, 0.8, 0.5, 1.0),
+        sample_size(SampleSizeInputs(0.05, 0.8, 0.5, 1.0)),
+        cfg,
+        run_simulation(cfg),
+    ]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_immutable(record):
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_equality_and_hash_by_value():
+    a, b = student_t(18), NullDistribution(Kind.STUDENT_T, 18.0)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != student_t(19)
+    # Equal nulls share the region cache's entry.
+    assert decision_regions(a, 0.05) is decision_regions(b, 0.05)
+    assert GroupSummary(10, 1.0, 2.0) == GroupSummary(n=10, mean=1.0, sd=2.0)
+    assert len({PowerSpec(0.05, 1.0, Hypothesis.H4), PowerSpec(0.05, 1.0, Hypothesis.H4)}) == 1
+
+
+def test_records_are_tuples():
+    n, mean, sd = GroupSummary(10, 1.0, 2.0)
+    assert (n, mean, sd) == (10, 1.0, 2.0)
+    assert GroupSummary(10, 1.0, 2.0) == (10, 1.0, 2.0)
+    assert student_t(18)[1] == 18.0
+    assert SimulationConfig._fields == (
+        "n_per_group", "mean_diff_over_sigma", "alpha", "trials", "seed", "procedure"
+    )
+
+
+def test_pickle_round_trip():
+    cfg = SimulationConfig(10, 0.5, 0.05, 100, 1, Procedure.KAISER)
+    report = run_simulation(cfg)
+    for record in (cfg, report):
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record)
+        assert back == record
+    assert pickle.loads(pickle.dumps(report)).to_dict() == report.to_dict()
+
+
+def test_unpickling_runs_the_check():
+    data = pickle.dumps(GroupSummary(10, 1.5, 2.5), protocol=4)
+    assert data.count(b"K\n") == 1  # the group size, a one-byte int
+    with pytest.raises(ValueError, match="group size must be at least 2, got 1"):
+        pickle.loads(data.replace(b"K\n", b"K\x01"))

@@ -2,7 +2,6 @@
 the scalar pipeline, exactness against the noncentral t, merge
 structure, and error-rate bands."""
 
-import dataclasses
 import json
 import math
 
@@ -155,7 +154,7 @@ class TestDeterminism:
         assert serial == parallel
 
     def test_seed_matters(self):
-        other = dataclasses.replace(BASE, seed=2)
+        other = BASE._replace(seed=2)
         assert run_simulation(other).counts != run_simulation(BASE).counts
 
 
@@ -169,21 +168,21 @@ class TestReportShape:
 
     def test_restricted_index_sets(self):
         kaiser = run_simulation(
-            dataclasses.replace(BASE, procedure=Procedure.KAISER)
+            BASE._replace(procedure=Procedure.KAISER)
         )
         jt = run_simulation(
-            dataclasses.replace(BASE, procedure=Procedure.JONES_TUKEY)
+            BASE._replace(procedure=Procedure.JONES_TUKEY)
         )
         assert set(kaiser.counts) == {1, 3, 5}
         assert set(jt.counts) == {2, 3, 4}
 
     def test_single_trial_frequencies(self):
-        cfg = dataclasses.replace(BASE, trials=1)
+        cfg = BASE._replace(trials=1)
         report = run_simulation(cfg)
         assert sorted(report.freq.values()) == [0.0, 0.0, 0.0, 0.0, 1.0]
 
     def test_to_dict_schema(self):
-        d = run_simulation(dataclasses.replace(BASE, trials=50)).to_dict()
+        d = run_simulation(BASE._replace(trials=50)).to_dict()
         assert d["schema_version"] == 2
         assert d["procedure"] == "five-decision"
         assert set(d["counts"]) == {"1", "2", "3", "4", "5"}
@@ -200,10 +199,10 @@ class TestMergeStructure:
         # five-decision tallies.
         five = run_simulation(BASE).counts
         kaiser = run_simulation(
-            dataclasses.replace(BASE, procedure=Procedure.KAISER)
+            BASE._replace(procedure=Procedure.KAISER)
         ).counts
         jt = run_simulation(
-            dataclasses.replace(BASE, procedure=Procedure.JONES_TUKEY)
+            BASE._replace(procedure=Procedure.JONES_TUKEY)
         ).counts
         assert kaiser[1] == five[1]
         assert kaiser[3] == five[2] + five[3] + five[4]
@@ -223,7 +222,7 @@ class TestErrorRates:
         assert report.wrong_rejection_rate == pytest.approx(rate, abs=1e-15)
 
     def test_kaiser_size_at_null(self):
-        report = run_simulation(dataclasses.replace(BASE, procedure=Procedure.KAISER))
+        report = run_simulation(BASE._replace(procedure=Procedure.KAISER))
         assert abs(report.wrong_rejection_rate - BASE.alpha) <= _band(
             report.wrong_rejection_rate, BASE.trials
         )
@@ -232,7 +231,7 @@ class TestErrorRates:
         # At the null the two-one-sided procedure's directional calls
         # are tallied and reported; no alpha bound is claimed.
         report = run_simulation(
-            dataclasses.replace(BASE, procedure=Procedure.JONES_TUKEY)
+            BASE._replace(procedure=Procedure.JONES_TUKEY)
         )
         assert report.wrong_rejection_rate == pytest.approx(
             report.freq[2] + report.freq[4], abs=1e-15
@@ -255,9 +254,7 @@ class TestErrorRates:
     def test_wrong_side_classification(self, procedure, wrong_up, wrong_down):
         for effect, wrong in ((0.8, wrong_up), (-0.8, wrong_down)):
             report = run_simulation(
-                dataclasses.replace(
-                    BASE, procedure=procedure, mean_diff_over_sigma=effect
-                )
+                BASE._replace(procedure=procedure, mean_diff_over_sigma=effect)
             )
             assert report.wrong_rejection_rate == pytest.approx(
                 sum(report.freq[k] for k in wrong), abs=1e-15
@@ -267,15 +264,13 @@ class TestErrorRates:
 class TestPowerBehavior:
     def test_rejection_grows_with_effect_and_n(self):
         small = run_simulation(
-            dataclasses.replace(BASE, mean_diff_over_sigma=0.2, trials=5000)
+            BASE._replace(mean_diff_over_sigma=0.2, trials=5000)
         )
         medium = run_simulation(
-            dataclasses.replace(BASE, mean_diff_over_sigma=0.5, trials=5000)
+            BASE._replace(mean_diff_over_sigma=0.5, trials=5000)
         )
         bigger_n = run_simulation(
-            dataclasses.replace(
-                BASE, mean_diff_over_sigma=0.5, n_per_group=60, trials=5000
-            )
+            BASE._replace(mean_diff_over_sigma=0.5, n_per_group=60, trials=5000)
         )
         def upper(report: SimulationReport) -> float:
             return report.freq[4] + report.freq[5]
@@ -365,7 +360,7 @@ class TestValidation:
     @pytest.mark.parametrize("workers, pool_size", [(2, 2), (64, 3)])
     def test_pool_never_larger_than_task_count(self, inline_pool, workers, pool_size):
         sizes, tasks = inline_pool
-        cfg = dataclasses.replace(BASE, trials=2 * _CHUNK_TRIALS + 5)
+        cfg = BASE._replace(trials=2 * _CHUNK_TRIALS + 5)
         report = run_simulation(cfg, workers=workers)
         assert sizes == [pool_size]
         # Contiguous, block-aligned, covering [0, trials), at most one
@@ -380,7 +375,7 @@ class TestValidation:
 
     def test_five_blocks_on_two_workers_split_three_and_two(self, inline_pool):
         sizes, tasks = inline_pool
-        cfg = dataclasses.replace(BASE, trials=5 * _CHUNK_TRIALS)
+        cfg = BASE._replace(trials=5 * _CHUNK_TRIALS)
         report = run_simulation(cfg, workers=2)
         assert sizes == [2]
         assert tasks == [(0, 3 * _CHUNK_TRIALS), (3 * _CHUNK_TRIALS, 2 * _CHUNK_TRIALS)]
@@ -388,7 +383,7 @@ class TestValidation:
 
     def test_one_worker_runs_one_task_and_no_pool(self, inline_pool):
         sizes, tasks = inline_pool
-        cfg = dataclasses.replace(BASE, trials=3 * _CHUNK_TRIALS + 7)
+        cfg = BASE._replace(trials=3 * _CHUNK_TRIALS + 7)
         run_simulation(cfg, workers=1)
         assert sizes == []
         assert tasks == [(0, cfg.trials)]
