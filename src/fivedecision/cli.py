@@ -28,6 +28,7 @@ from .decisions import (
     Decision,
     Hypothesis,
     Procedure,
+    _TARGETS,
     _also_rejected,
     decision_regions,
     five_decision,
@@ -50,8 +51,6 @@ EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 
 SCHEMA_VERSION = 1
-
-_TARGET_CHOICES = ("H1", "H2", "H4", "H5")
 
 
 def _fmt(x: float, precision: int) -> str:
@@ -205,7 +204,6 @@ def cmd_decide(args: argparse.Namespace) -> tuple[dict, list, list]:
             )
 
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "input": source,
         "direction": direction,
         "alpha": alpha,
@@ -239,12 +237,11 @@ def cmd_power(args: argparse.Namespace) -> tuple[dict, list, list]:
             # Reporting all four sides includes hypotheses on the wrong
             # side of the effect by design; silence the advisory warning.
             warnings.simplefilter("ignore")
+        targets = [Hypothesis(args.target)] if args.target else _TARGETS
         values = {
-            name: power_wald(PowerSpec(args.alpha, args.effect, Hypothesis(name)))
-            for name in ([args.target] if args.target else _TARGET_CHOICES)
+            h.value: power_wald(PowerSpec(args.alpha, args.effect, h)) for h in targets
         }
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "alpha": args.alpha,
         "effect": args.effect,
         "power": values,
@@ -267,37 +264,33 @@ def cmd_samplesize(args: argparse.Namespace) -> tuple[dict, list, list]:
         delta=args.delta,
         tau=math.sqrt(args.tau_sq),
     )
-    non_strict = sample_size(inputs, strict=False)
-    strict = sample_size(inputs, strict=True)
-    saving = reduction(args.alpha, args.power)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "alpha": args.alpha,
         "power": args.power,
         "delta": args.delta,
         "tau_sq": args.tau_sq,
-        "non_strict": {"n": non_strict.n, "n_exact": non_strict.n_exact},
-        "strict": {"n": strict.n, "n_exact": strict.n_exact},
-        "reduction": saving,
     }
     p = args.precision
-    exact_ns, exact_s = _fmt(non_strict.n_exact, p), _fmt(strict.n_exact, p)
+    rows, lines = [["target", "n", "n_exact"]], []
+    for label, strict in (("non-strict", False), ("strict", True)):
+        size = sample_size(inputs, strict=strict)
+        payload[label.replace("-", "_")] = {"n": size.n, "n_exact": size.n_exact}
+        exact = _fmt(size.n_exact, p)
+        rows.append([label, str(size.n), exact])
+        lines.append(f"{label + ' target:':18} n = {size.n} (exact {exact})")
+    saving = reduction(args.alpha, args.power)
+    payload["reduction"] = saving
     percent, exact_saving = f"{as_whole_percent(saving)}%", _fmt(saving, p)
-    rows = [
-        ["target", "n", "n_exact"],
-        ["non-strict", str(non_strict.n), exact_ns],
-        ["strict", str(strict.n), exact_s],
-        ["reduction", percent, exact_saving],
-    ]
-    lines = [
-        f"non-strict target: n = {non_strict.n} (exact {exact_ns})",
-        f"strict target:     n = {strict.n} (exact {exact_s})",
-        f"reduction from strict target: {percent} (exact {exact_saving})",
-    ]
+    rows.append(["reduction", percent, exact_saving])
+    lines.append(f"reduction from strict target: {percent} (exact {exact_saving})")
     return payload, rows, lines
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_float_list(
+    text: str | None, flag: str, default: tuple[float, ...]
+) -> list[float]:
+    if not text:
+        return list(default)
     try:
         values = [float(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
@@ -315,20 +308,11 @@ def cmd_table(args: argparse.Namespace) -> tuple[dict, list, list]:
         reduction_table,
     )
 
-    alphas = (
-        _parse_float_list(args.alphas, "--alphas")
-        if args.alphas
-        else list(DEFAULT_TABLE_ALPHAS)
-    )
-    psis = (
-        _parse_float_list(args.powers, "--powers")
-        if args.powers
-        else list(DEFAULT_TABLE_PSIS)
-    )
+    alphas = _parse_float_list(args.alphas, "--alphas", DEFAULT_TABLE_ALPHAS)
+    psis = _parse_float_list(args.powers, "--powers", DEFAULT_TABLE_PSIS)
     fractions = reduction_table(alphas, psis)
     percents = [[as_whole_percent(cell) for cell in row] for row in fractions]
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "alphas": alphas,
         "powers": psis,
         "fractions": fractions,
@@ -391,13 +375,11 @@ def cmd_regions(args: argparse.Namespace) -> tuple[dict, list, list]:
             f"({', '.join(_fmt(q, p) for q in r.boundaries)})"
         )
         for s in r.intervals():
-            lower = None if s.lower == -math.inf else s.lower
-            upper = None if s.upper == math.inf else s.upper
             intervals.append(
                 {
                     "decision": s.index,
-                    "lower": lower,
-                    "upper": upper,
+                    "lower": None if s.lower == -math.inf else s.lower,
+                    "upper": None if s.upper == math.inf else s.upper,
                     "lower_closed": s.lower_closed,
                     "upper_closed": s.upper_closed,
                     "rejected": s.rejected.value,
@@ -416,8 +398,7 @@ def cmd_regions(args: argparse.Namespace) -> tuple[dict, list, list]:
             )
             left = "[" if s.lower_closed else "("
             right = "]" if s.upper_closed else ")"
-            lo = "-inf" if lower is None else _fmt(lower, p)
-            hi = "inf" if upper is None else _fmt(upper, p)
+            lo, hi = _fmt(s.lower, p), _fmt(s.upper, p)
             label = (
                 "no rejection"
                 if s.rejected is Hypothesis.NONE
@@ -428,7 +409,6 @@ def cmd_regions(args: argparse.Namespace) -> tuple[dict, list, list]:
             {"alpha": r.alpha, "boundaries": list(r.boundaries), "intervals": intervals}
         )
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "null": args.null,
         "df": args.df if args.null == "t" else None,
         "regions": regions,
@@ -449,30 +429,32 @@ def _precision(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
 
 
-def _add_common_output(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "tsv"),
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--precision",
-        type=_precision,
-        default=4,
-        help="significant digits in text/tsv output (default: 4)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fivedecision",
         description="Directional five-decision testing, power, and simulation tools.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options shared by subcommands, given to each through parents=.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
+        "--format",
+        choices=("text", "json", "tsv"),
+        default="text",
+        help="output format (default: text)",
+    )
+    output.add_argument(
+        "--precision",
+        type=_precision,
+        default=4,
+        help="significant digits in text/tsv output (default: 4)",
+    )
+    level = argparse.ArgumentParser(add_help=False)
+    level.add_argument("--alpha", type=float, default=0.05)
 
     p_decide = sub.add_parser(
         "decide",
+        parents=[level, output],
         help="run the three decision procedures on two-group data",
         description=(
             "Pooled two-sample t-test plus all three decision procedures. "
@@ -486,15 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--summary",
         help="inline summaries: n1,mean1,sd1,n2,mean2,sd2",
     )
-    p_decide.add_argument("--alpha", type=float, default=0.05)
     p_decide.add_argument("--theta0", type=float, default=0.0)
-    _add_common_output(p_decide)
     p_decide.set_defaults(func=cmd_decide)
 
     p_power = sub.add_parser(
-        "power", help="directional rejection probabilities at a given effect"
+        "power",
+        parents=[level, output],
+        help="directional rejection probabilities at a given effect",
     )
-    p_power.add_argument("--alpha", type=float, default=0.05)
     p_power.add_argument(
         "--effect",
         type=float,
@@ -503,16 +484,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_power.add_argument(
         "--target",
-        choices=_TARGET_CHOICES,
+        choices=[h.value for h in _TARGETS],
         help="hypothesis to reject (default: report all four)",
     )
-    _add_common_output(p_power)
     p_power.set_defaults(func=cmd_power)
 
     p_size = sub.add_parser(
-        "samplesize", help="required n per the strict and non-strict targets"
+        "samplesize",
+        parents=[level, output],
+        help="required n per the strict and non-strict targets",
     )
-    p_size.add_argument("--alpha", type=float, default=0.05)
     p_size.add_argument("--power", type=float, required=True, help="target power")
     p_size.add_argument(
         "--delta", type=float, required=True, help="difference to detect"
@@ -524,18 +505,22 @@ def build_parser() -> argparse.ArgumentParser:
         dest="tau_sq",
         help="tau squared, where SE = tau/sqrt(n)",
     )
-    _add_common_output(p_size)
     p_size.set_defaults(func=cmd_samplesize)
 
     p_table = sub.add_parser(
-        "table", help="sample-size reduction grid over alpha and power"
+        "table",
+        parents=[output],
+        help="sample-size reduction grid over alpha and power",
     )
     p_table.add_argument("--alphas", help="comma-separated levels (default grid)")
     p_table.add_argument("--powers", help="comma-separated powers (default grid)")
-    _add_common_output(p_table)
     p_table.set_defaults(func=cmd_table)
 
-    p_sim = sub.add_parser("simulate", help="seeded Monte Carlo decision frequencies")
+    p_sim = sub.add_parser(
+        "simulate",
+        parents=[level, output],
+        help="seeded Monte Carlo decision frequencies",
+    )
     p_sim.add_argument("--n", type=int, required=True, help="observations per group")
     p_sim.add_argument(
         "--effect",
@@ -543,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="standardized mean difference (default 0)",
     )
-    p_sim.add_argument("--alpha", type=float, default=0.05)
     p_sim.add_argument("--trials", type=int, default=100000)
     p_sim.add_argument("--seed", type=int, default=1)
     p_sim.add_argument(
@@ -557,16 +541,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help=(
             "worker processes (default 1), each running one contiguous share "
-            "of the 16384-trial blocks; each call starts a fresh process "
-            "pool, which pays off only for large runs: on 2 CPUs, from about "
-            "2 million trials"
+            "of the trials; each call starts a fresh process pool"
         ),
     )
-    _add_common_output(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_regions = sub.add_parser(
-        "regions", help="decision-region boundaries and intervals"
+        "regions",
+        parents=[output],
+        help="decision-region boundaries and intervals",
     )
     p_regions.add_argument("--null", choices=("t", "normal"), default="t")
     p_regions.add_argument(
@@ -578,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="level; repeat for several (default: 0.10 0.05 0.01)",
     )
-    _add_common_output(p_regions)
     p_regions.set_defaults(func=cmd_regions)
 
     return parser
@@ -597,6 +579,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # simulate's report carries its own, later version.
+    payload.setdefault("schema_version", SCHEMA_VERSION)
     try:
         if args.format == "json":
             import json

@@ -98,6 +98,9 @@ _DECISIONS = (
     Decision(5, Hypothesis.H5, Hypothesis.H2),
 )
 
+# The hypotheses a verdict can reject, in verdict order.
+_TARGETS = (Hypothesis.H1, Hypothesis.H2, Hypothesis.H4, Hypothesis.H5)
+
 
 class RegionInterval(
     namedtuple("RegionInterval", "index lower upper lower_closed upper_closed rejected")

@@ -15,12 +15,13 @@ assume SE(theta_hat) = tau/sqrt(n).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .decisions import Hypothesis, _check_alpha, decision_regions
-from .distributions import cdf, quantile, standard_normal
+from .decisions import _TARGETS, Hypothesis, _check_alpha, decision_regions
+from .distributions import _NORMAL, cdf, quantile
 
 __all__ = [
     "PowerSpec",
@@ -35,12 +36,18 @@ __all__ = [
     "DEFAULT_TABLE_PSIS",
 ]
 
-_NORMAL = standard_normal()
-
 DEFAULT_TABLE_ALPHAS = (0.05, 0.01, 0.005, 0.001)
 DEFAULT_TABLE_PSIS = (0.50, 0.80, 0.90, 0.95, 0.99)
 
-_TARGETS = (Hypothesis.H1, Hypothesis.H2, Hypothesis.H4, Hypothesis.H5)
+
+def _warn_at_caller(message: str) -> None:
+    # Name the first frame outside this module and collections, so that
+    # a spec built by _make or _replace warns at the line that built
+    # it, as a direct call does.
+    frame, level = sys._getframe(1), 2
+    while frame.f_globals.get("__name__") in (__name__, "collections"):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 class PowerSpec(namedtuple("PowerSpec", "alpha effect target")):
@@ -60,17 +67,10 @@ class PowerSpec(namedtuple("PowerSpec", "alpha effect target")):
             raise ValueError("effect must be finite")
         if target not in _TARGETS:
             raise ValueError(f"target must be one of H1, H2, H4, H5, got {target}")
-        # stacklevel=2 names the line that built the spec.
         if target in (Hypothesis.H4, Hypothesis.H5) and effect < 0:
-            warnings.warn(
-                "rejecting H4/H5 is the correct conclusion only for effect > 0",
-                stacklevel=2,
-            )
+            _warn_at_caller("rejecting H4/H5 is the correct conclusion only for effect > 0")
         if target in (Hypothesis.H1, Hypothesis.H2) and effect > 0:
-            warnings.warn(
-                "rejecting H1/H2 is the correct conclusion only for effect < 0",
-                stacklevel=2,
-            )
+            _warn_at_caller("rejecting H1/H2 is the correct conclusion only for effect < 0")
         return super().__new__(cls, alpha, effect, target)
 
     # The inherited _make, which _replace calls, skips __new__.

@@ -34,6 +34,7 @@ from collections.abc import Sequence
 from .decisions import Procedure, decision_regions
 from .decisions import _MERGE, _check_alpha, _index_from_boundaries, _wrong_indices
 from .distributions import student_t
+from .stattests import _check_int
 
 __all__ = [
     "Procedure",
@@ -69,6 +70,9 @@ class SimulationConfig(
         seed: int,
         procedure: Procedure = Procedure.FIVE_DECISION,
     ):
+        n_per_group = _check_int(n_per_group, "n_per_group")
+        trials = _check_int(trials, "trials")
+        seed = _check_int(seed, "seed")
         if n_per_group < 2:
             raise ValueError(f"n_per_group must be at least 2, got {n_per_group}")
         if trials < 1:
@@ -158,18 +162,25 @@ def _trial_draws(
     return np.concatenate(zs), np.concatenate(vs)
 
 
-def _simulate_chunk(args: tuple) -> np.ndarray:
-    """Decision tallies (length-6 array indexed by decision) for trials
-    [start, start+count), transforming the draws in place.  Top level
-    so process pools can pickle it.
+def _boundaries(cfg: SimulationConfig) -> tuple[float, float, float, float]:
+    return decision_regions(student_t(2 * cfg.n_per_group - 2), cfg.alpha).boundaries
+
+
+def _simulate_chunk(task: tuple) -> np.ndarray:
+    """Decision tallies (length-6 array indexed by decision) for the
+    trials [start, start+count) of a (cfg, start, count) task,
+    transforming the draws in place.  Top level so process pools can
+    pickle it.
     """
     import numpy as np
 
-    seed, start, count, n, effect, boundaries, merge = args
-    shift = effect * math.sqrt(n / 2.0)
-    merge = np.array(merge)
+    cfg, start, count = task
+    n = cfg.n_per_group
+    boundaries = _boundaries(cfg)
+    shift = cfg.mean_diff_over_sigma * math.sqrt(n / 2.0)
+    merge = np.array(_MERGE[cfg.procedure])
     totals = np.zeros(6, dtype=np.int64)
-    for t, s in _draws(seed, start, count, n):
+    for t, s in _draws(cfg.seed, start, count, n):
         s /= 2 * n - 2
         np.sqrt(s, out=s)
         t += shift
@@ -192,24 +203,18 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
     # loads before the pool starts, so forked workers inherit it.
     import numpy as np
 
+    workers = _check_int(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    null = student_t(2 * cfg.n_per_group - 2)
-    boundaries = decision_regions(null, cfg.alpha).boundaries
+    # Solved before any pool starts, so forked workers inherit the cached
+    # boundaries and a solve that fails raises here, not in a worker.
+    _boundaries(cfg)
 
     # ceil(blocks / workers) blocks per task
     blocks = -(-cfg.trials // _CHUNK_TRIALS)
     span = -(-blocks // workers) * _CHUNK_TRIALS
     tasks = [
-        (
-            cfg.seed,
-            start,
-            min(span, cfg.trials - start),
-            cfg.n_per_group,
-            cfg.mean_diff_over_sigma,
-            boundaries,
-            _MERGE[cfg.procedure],
-        )
+        (cfg, start, min(span, cfg.trials - start))
         for start in range(0, cfg.trials, span)
     ]
     if len(tasks) == 1:

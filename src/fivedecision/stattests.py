@@ -12,6 +12,7 @@ version, and its mean is math.fsum(xs) / n.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from collections.abc import Sequence
 
@@ -34,12 +35,22 @@ class DegenerateDataError(ValueError):
     can map it to its own exit code."""
 
 
+def _check_int(value: int, name: str) -> int:
+    # operator.index takes int and numpy integers, and refuses floats
+    # such as 10.5 that would otherwise pass a range check.
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 class GroupSummary(namedtuple("GroupSummary", "n mean sd")):
     """Size, mean, and sample standard deviation of one group."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, mean: float, sd: float):
+        n = _check_int(n, "group size")
         if n < 2:
             raise ValueError(f"group size must be at least 2, got {n}")
         if not (math.isfinite(mean) and math.isfinite(sd)):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from fivedecision.cli import build_parser, main
-from fivedecision.decisions import Procedure
+from fivedecision.decisions import _TARGETS, Procedure
 from fivedecision.stattests import two_sample_t_raw
 
 CHICK_SUMMARY = "10,205.6,65.2,10,258.9,70.3"
@@ -381,6 +381,24 @@ class TestSimulate:
         )
         assert code == 2
         assert "seed" in err
+
+
+def test_shared_options_reach_every_subcommand():
+    (commands,) = [
+        a
+        for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {
+        name: {a.dest: a for a in parser._actions}
+        for name, parser in commands.choices.items()
+    }
+    for name, by_dest in options.items():
+        assert {"format", "precision"} <= set(by_dest), name
+    for name in ("decide", "power", "samplesize", "simulate"):
+        assert options[name]["alpha"].default == 0.05, name
+    targets = options["power"]["target"].choices
+    assert list(targets) == [h.value for h in _TARGETS]
 
 
 class TestRegions:

@@ -108,7 +108,9 @@ class TestPowerWald:
     def test_sign_mismatch_warning_names_the_caller(self):
         with pytest.warns(UserWarning) as caught:
             PowerSpec(0.05, -1.0, Hypothesis.H4)
-        assert caught[0].filename == __file__
+            PowerSpec._make([0.05, -1.0, Hypothesis.H4])
+            PowerSpec(0.05, 1.0, Hypothesis.H4)._replace(effect=-1.0)
+        assert [w.filename for w in caught] == [__file__] * 3
 
     def test_zero_effect_does_not_warn(self, recwarn):
         PowerSpec(0.05, 0.0, Hypothesis.H4)

@@ -4,6 +4,7 @@ value equality and pickling that callers rely on."""
 
 import pickle
 
+import numpy as np
 import pytest
 
 from fivedecision.datasets import chickweight_summary
@@ -13,37 +14,61 @@ from fivedecision.power import PowerSpec, SampleSizeInputs, sample_size
 from fivedecision.simulation import SimulationConfig, run_simulation
 from fivedecision.stattests import GroupSummary, two_sample_t
 
-# Each checked record: valid fields, one bad change, and its message.
+# Valid fields of each checked record.
+VALID = {
+    NullDistribution: {"kind": Kind.STUDENT_T, "df": 18.0},
+    GroupSummary: {"n": 10, "mean": 205.6, "sd": 70.3},
+    PowerSpec: {"alpha": 0.05, "effect": 2.5, "target": Hypothesis.H5},
+    SampleSizeInputs: {"alpha": 0.05, "psi": 0.8, "delta": 0.5, "tau": 1.0},
+    SimulationConfig: {"n_per_group": 10, "mean_diff_over_sigma": 0.0, "alpha": 0.05, "trials": 100, "seed": 1},
+}
+
+# Each bad change to a checked record, and its message.
 CHECKED = {
     "NullDistribution": (
         NullDistribution,
-        {"kind": Kind.STUDENT_T, "df": 18.0},
         {"df": 0.0},
         "StudentT requires 0 < df <= 2**53, got 0.0",
     ),
     "GroupSummary": (
         GroupSummary,
-        {"n": 10, "mean": 205.6, "sd": 70.3},
         {"n": 1},
         "group size must be at least 2, got 1",
     ),
+    "GroupSummary-fractional-n": (
+        GroupSummary,
+        {"n": 10.5},
+        "group size must be an integer, got 10.5",
+    ),
     "PowerSpec": (
         PowerSpec,
-        {"alpha": 0.05, "effect": 2.5, "target": Hypothesis.H5},
         {"target": Hypothesis.NONE},
         "target must be one of H1, H2, H4, H5, got Hypothesis.NONE",
     ),
     "SampleSizeInputs": (
         SampleSizeInputs,
-        {"alpha": 0.05, "psi": 0.8, "delta": 0.5, "tau": 1.0},
         {"psi": 1.0},
         "psi must lie in (0, 1), got 1.0",
     ),
     "SimulationConfig": (
         SimulationConfig,
-        {"n_per_group": 10, "mean_diff_over_sigma": 0.0, "alpha": 0.05, "trials": 100, "seed": 1},
         {"trials": 0},
         "trials must be at least 1, got 0",
+    ),
+    "SimulationConfig-fractional-n": (
+        SimulationConfig,
+        {"n_per_group": 10.5},
+        "n_per_group must be an integer, got 10.5",
+    ),
+    "SimulationConfig-fractional-trials": (
+        SimulationConfig,
+        {"trials": 100.5},
+        "trials must be an integer, got 100.5",
+    ),
+    "SimulationConfig-fractional-seed": (
+        SimulationConfig,
+        {"seed": 1.5},
+        "seed must be an integer, got 1.5",
     ),
 }
 
@@ -58,18 +83,17 @@ WAYS = {
 @pytest.mark.parametrize("way", WAYS)
 @pytest.mark.parametrize("record", CHECKED)
 def test_bad_input_is_refused_however_built(record, way):
-    cls, fields, change, message = CHECKED[record]
-    good = cls(**fields)
+    cls, change, message = CHECKED[record]
+    good = cls(**VALID[cls])
     bad = {**good._asdict(), **change}
     with pytest.raises(ValueError) as exc:
         WAYS[way](cls, good, bad)
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("record", CHECKED)
-def test_every_way_builds_the_same_record(record):
-    cls, fields, _, _ = CHECKED[record]
-    good = cls(**fields)
+@pytest.mark.parametrize("cls", VALID, ids=lambda cls: cls.__name__)
+def test_every_way_builds_the_same_record(cls):
+    good = cls(**VALID[cls])
     full = good._asdict()
     built = [WAYS[way](cls, good, full) for way in WAYS]
     assert all(type(b) is cls and b == good for b in built)
@@ -134,6 +158,11 @@ def test_equality_and_hash_by_value():
     # Equal nulls share the region cache's entry.
     assert decision_regions(a, 0.05) is decision_regions(b, 0.05)
     assert GroupSummary(10, 1.0, 2.0) == GroupSummary(n=10, mean=1.0, sd=2.0)
+    # Integer fields take numpy integers, and store them as int.
+    cfg = SimulationConfig(np.int64(10), 0.0, 0.05, np.int32(100), np.uint64(1))
+    assert cfg == SimulationConfig(10, 0.0, 0.05, 100, 1)
+    assert {type(cfg.n_per_group), type(cfg.trials), type(cfg.seed)} == {int}
+    assert type(GroupSummary(np.int64(10), 1.0, 2.0).n) is int
     assert len({PowerSpec(0.05, 1.0, Hypothesis.H4), PowerSpec(0.05, 1.0, Hypothesis.H4)}) == 1
 
 

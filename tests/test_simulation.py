@@ -324,6 +324,8 @@ class TestValidation:
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             run_simulation(BASE, workers=0)
+        with pytest.raises(ValueError, match="workers must be an integer, got 1.5"):
+            run_simulation(BASE, workers=1.5)
 
     @pytest.fixture
     def inline_pool(self, monkeypatch):
