@@ -540,8 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "worker processes (default 1), each running one contiguous share "
-            "of the trials; each call starts a fresh process pool"
+            "worker threads (default 1), each running one contiguous share "
+            "of the trials; on 2 CPUs two threads pay off from about 100000 "
+            "trials"
         ),
     )
     p_sim.set_defaults(func=cmd_simulate)

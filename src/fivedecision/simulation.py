@@ -28,6 +28,7 @@ changes the stream.
 from __future__ import annotations
 
 import math
+import threading
 from collections import namedtuple
 from collections.abc import Sequence
 
@@ -168,13 +169,14 @@ def _boundaries(cfg: SimulationConfig) -> tuple[float, float, float, float]:
 
 def _simulate_chunk(task: tuple) -> np.ndarray:
     """Decision tallies (length-6 array indexed by decision) for the
-    trials [start, start+count) of a (cfg, start, count) task,
-    transforming the draws in place.  Top level so process pools can
-    pickle it.
+    trials [start, start+count) of a (cfg, start, count, stop) task,
+    transforming the draws in place.  It runs in the calling thread or
+    a pool thread; once the event `stop` is set, it returns after the
+    block it is on, with the tallies so far.
     """
     import numpy as np
 
-    cfg, start, count = task
+    cfg, start, count, stop = task
     n = cfg.n_per_group
     boundaries = _boundaries(cfg)
     shift = cfg.mean_diff_over_sigma * math.sqrt(n / 2.0)
@@ -187,6 +189,8 @@ def _simulate_chunk(task: tuple) -> np.ndarray:
         t /= s
         idx = _index_from_boundaries(t, *boundaries)
         totals += np.bincount(merge[idx], minlength=6)
+        if stop.is_set():
+            break
     return totals
 
 
@@ -195,35 +199,43 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
 
     The trials are cut into at most `workers` contiguous, block-aligned
     tasks of equal block count (the last may be shorter).  One task
-    runs in this process; more run on a process pool with one worker
-    per task.  The report is identical for any worker count.
+    runs in the calling thread; more run on a thread pool with one
+    thread per task, which overlap because numpy's samplers and ufunc
+    loops release the interpreter lock (on 2 CPUs, two threads break
+    even near 100,000 trials).  The report is identical for any worker
+    count.  If the wait for the threads raises (Ctrl-C, or an error in
+    one task), the other tasks stop after their current block.
     """
     # numpy and the pool load here, not at module import, so importing
-    # the package and every other CLI command start without them.  numpy
-    # loads before the pool starts, so forked workers inherit it.
+    # the package and every other CLI command start without them.
     import numpy as np
 
     workers = _check_int(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    # Solved before any pool starts, so forked workers inherit the cached
-    # boundaries and a solve that fails raises here, not in a worker.
+    # A solve that fails raises here, not in a thread; the tasks then
+    # read the boundaries from the region cache.
     _boundaries(cfg)
 
-    # ceil(blocks / workers) blocks per task
+    # ceil(blocks / workers) blocks per task; the event belongs to this
+    # call, so concurrent calls never stop each other.
     blocks = -(-cfg.trials // _CHUNK_TRIALS)
     span = -(-blocks // workers) * _CHUNK_TRIALS
+    stop = threading.Event()
     tasks = [
-        (cfg, start, min(span, cfg.trials - start))
+        (cfg, start, min(span, cfg.trials - start), stop)
         for start in range(0, cfg.trials, span)
     ]
     if len(tasks) == 1:
         totals = _simulate_chunk(tasks[0])
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            totals = sum(pool.map(_simulate_chunk, tasks), np.zeros(6, np.int64))
+        with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
+            try:
+                totals = sum(pool.map(_simulate_chunk, tasks), np.zeros(6, np.int64))
+            finally:
+                stop.set()
 
     keys = cfg.procedure.index_set
     counts = {k: int(totals[k]) for k in keys}

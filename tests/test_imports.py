@@ -1,5 +1,6 @@
-"""numpy and the process pool load only when a simulation runs, and
-statistics, fractions, importlib.resources and dataclasses never do.
+"""numpy and the thread pool load only when a simulation runs, no
+command loads multiprocessing, and statistics, fractions,
+importlib.resources and dataclasses never load.
 Each command loads only the modules it runs, and `import fivedecision`
 loads none.
 
@@ -182,6 +183,13 @@ def test_simulate_loads_simulation_and_numpy():
     assert SIMULATION_ONLY <= loaded
     assert "fivedecision.power" not in loaded
     assert "dataclasses" not in loaded
+
+
+def test_pooled_simulate_loads_no_process_machinery():
+    # 20000 trials make two blocks, so two workers take the pool path.
+    loaded = _loads("simulate", *SIM_ARGS, "--workers", "2")
+    assert "concurrent.futures.thread" in loaded
+    assert loaded & {"multiprocessing", "concurrent.futures.process"} == set()
 
 
 class TestLazyNamespace:

@@ -4,6 +4,13 @@ structure, and error-rate bands."""
 
 import json
 import math
+import os
+import selectors
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,9 +336,9 @@ class TestValidation:
 
     @pytest.fixture
     def inline_pool(self, monkeypatch):
-        """Stand-ins for the pool and the chunk kernel that run every task
-        here, so no worker process is ever started.  Returns the pool
-        sizes built and the (start, count) of every task, in order."""
+        """Stand-ins for the thread pool and the chunk kernel that run
+        every task in the calling thread.  Returns the pool sizes built
+        and the (start, count) of every task, in order."""
         import concurrent.futures
 
         sizes, tasks = [], []
@@ -355,7 +362,7 @@ class TestValidation:
             tasks.append(task[1:3])
             return chunk(task)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(fivedecision.simulation, "_simulate_chunk", recording_chunk)
         return sizes, tasks
 
@@ -389,3 +396,81 @@ class TestValidation:
         run_simulation(cfg, workers=1)
         assert sizes == []
         assert tasks == [(0, cfg.trials)]
+
+
+class TestThreads:
+    def test_concurrent_callers_match_serial_reports(self):
+        # 4 callers on 2 threads each, more threads than cores, with a
+        # short switch interval: a buffer, cache or stop event shared
+        # between calls would change some report.
+        configs = [
+            BASE._replace(n_per_group=n, mean_diff_over_sigma=effect, trials=trials, seed=seed)
+            for n, effect, trials, seed in [
+                (2, 0.0, 3 * _CHUNK_TRIALS + 7, 11),
+                (10, 0.5, 4 * _CHUNK_TRIALS, 12),
+                (63, -0.3, 2 * _CHUNK_TRIALS + 1, 13),
+                (500, 0.2, 5 * _CHUNK_TRIALS - 3, 14),
+            ]
+        ]
+        serial = [run_simulation(cfg, workers=1) for cfg in configs]
+        fivedecision.decisions.decision_regions.cache_clear()
+        start = threading.Barrier(len(configs))
+        reports = [None] * len(configs)
+
+        def call(i):
+            start.wait(timeout=30)
+            reports[i] = [run_simulation(configs[i], workers=2) for _ in range(3)]
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(configs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert reports == [[report] * 3 for report in serial]
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs POSIX SIGINT")
+    def test_sigint_stops_the_threads(self):
+        # The child announces when a thread starts its task, is sent
+        # SIGINT, and must exit long before its 10^9 trials (a minute on
+        # two threads) could finish.
+        child = (
+            "import sys\n"
+            "from fivedecision import cli, simulation\n"
+            "chunk = simulation._simulate_chunk\n"
+            "def announcing_chunk(task):\n"
+            "    print('running', flush=True)\n"
+            "    return chunk(task)\n"
+            "simulation._simulate_chunk = announcing_chunk\n"
+            "cli.main(sys.argv[1:])\n"
+        )
+        argv = ["simulate", "--n", "63", "--trials", "1000000000", "--workers", "2"]
+        src = str(Path(fivedecision.simulation.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", child, *argv],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            with selectors.DefaultSelector() as sel:
+                sel.register(proc.stdout, selectors.EVENT_READ)
+                assert sel.select(timeout=30), "the simulation never started"
+            assert proc.stdout.readline() == "running\n"
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=10)
+            assert proc.returncode == -signal.SIGINT
+            assert proc.stderr.read().rstrip().endswith("KeyboardInterrupt")
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
