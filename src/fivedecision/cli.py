@@ -13,7 +13,7 @@ Each subcommand takes --format {text,json,tsv}.  JSON output is always
 full precision with sorted keys; --precision only affects the rounded
 text and tsv views.  Exit codes: 0 success, 1 stdout closed before
 the output was written (as by `| head`), 2 usage or parse errors,
-3 degenerate data.
+3 degenerate data, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .decisions import (
     jones_tukey_decision,
     kaiser_decision,
 )
-from .distributions import standard_normal, student_t
+from .distributions import Kind, NullDistribution, _check_positive
 from .stattests import (
     DegenerateDataError,
     GroupSummary,
@@ -49,6 +49,7 @@ EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
+EXIT_INTERRUPTED = 130
 
 SCHEMA_VERSION = 1
 
@@ -155,7 +156,7 @@ def cmd_decide(args: argparse.Namespace) -> tuple[dict, list, list]:
 
     alpha = args.alpha
     wide_level = 1.0 - alpha
-    narrow_level = max(1.0 - 2.0 * alpha, 0.0)
+    narrow_level = 1.0 - 2.0 * alpha
     regions = decision_regions(result.null, alpha)
     ci_wide, ci_narrow = regions.nested_intervals(result.estimate, result.se)
     decisions = {
@@ -188,14 +189,14 @@ def cmd_decide(args: argparse.Namespace) -> tuple[dict, list, list]:
         rows += [[f"ci_{label}_low", low], [f"ci_{label}_high", high]]
         lines.append(f"{label} CI: [{low}, {high}]")
     t0 = _fmt(theta0, p)
-    titles = (
-        f"five-decision (alpha={_fmt(alpha, p)})",
-        "directional two-sided, levels alpha/2",
-        "two one-sided at full alpha (theta0 impossible)",
-    )
-    for (procedure, d), title in zip(decisions.items(), titles):
+    titles = {
+        Procedure.FIVE_DECISION: f"five-decision (alpha={_fmt(alpha, p)})",
+        Procedure.KAISER: "directional two-sided, levels alpha/2",
+        Procedure.JONES_TUKEY: "two one-sided at full alpha (theta0 impossible)",
+    }
+    for procedure, d in decisions.items():
         rows.append([procedure.name.lower(), str(d.index)])
-        lines.append(f"{title}: decision {d.index}, " + _decision_sentence(d, t0))
+        lines.append(f"{titles[procedure]}: decision {d.index}, {_decision_sentence(d, t0)}")
         also = _also_rejected(procedure, d.index)
         if also is not None:
             lines[-1] += (
@@ -258,12 +259,9 @@ def cmd_power(args: argparse.Namespace) -> tuple[dict, list, list]:
 def cmd_samplesize(args: argparse.Namespace) -> tuple[dict, list, list]:
     from .power import SampleSizeInputs, as_whole_percent, reduction, sample_size
 
-    inputs = SampleSizeInputs(
-        alpha=args.alpha,
-        psi=args.power,
-        delta=args.delta,
-        tau=math.sqrt(args.tau_sq),
-    )
+    # Checked under its own name before the root, which refuses < 0.
+    tau = math.sqrt(_check_positive(args.tau_sq, "--tau-sq"))
+    inputs = SampleSizeInputs(alpha=args.alpha, psi=args.power, delta=args.delta, tau=tau)
     payload = {
         "alpha": args.alpha,
         "power": args.power,
@@ -362,7 +360,9 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, list, list]:
 # --------------------------------------------------------------- regions
 
 def cmd_regions(args: argparse.Namespace) -> tuple[dict, list, list]:
-    null = standard_normal() if args.null == "normal" else student_t(args.df)
+    # --df defaults to 18 for t; given with the normal, NullDistribution refuses it.
+    df = 18.0 if args.df is None and args.null == "t" else args.df
+    null = NullDistribution(Kind.STUDENT_T if args.null == "t" else Kind.STANDARD_NORMAL, df)
     all_regions = [decision_regions(null, a) for a in args.alpha or [0.10, 0.05, 0.01]]
     p = args.precision
     regions = []
@@ -410,7 +410,7 @@ def cmd_regions(args: argparse.Namespace) -> tuple[dict, list, list]:
         )
     payload = {
         "null": args.null,
-        "df": args.df if args.null == "t" else None,
+        "df": null.df,
         "regions": regions,
     }
     return payload, rows, lines
@@ -554,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_regions.add_argument("--null", choices=("t", "normal"), default="t")
     p_regions.add_argument(
-        "--df", type=float, default=18.0, help="degrees of freedom for --null t"
+        "--df", type=float, help="degrees of freedom for --null t (default 18)"
     )
     p_regions.add_argument(
         "--alpha",
@@ -568,8 +568,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        return _run(build_parser().parse_args(argv))
+    except KeyboardInterrupt:
+        # A pooled simulate has stopped its threads by now.
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         # Each cmd_* returns what it prints, rendered below as JSON (the
         # payload), TSV (the rows) or text (the lines).

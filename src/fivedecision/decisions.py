@@ -36,7 +36,7 @@ import functools
 import math
 from collections import namedtuple
 
-from .distributions import NullDistribution, quantile
+from .distributions import NullDistribution, _check_alpha, _check_finite, quantile
 from .stattests import TestResult
 
 __all__ = [
@@ -136,22 +136,6 @@ class DecisionRegions(namedtuple("DecisionRegions", "alpha boundaries null")):
         return wide, (estimate - q3 * se, estimate + q3 * se)
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 0.5:
-        raise ValueError(f"alpha must lie in (0, 0.5], got {alpha!r}")
-    if 1.0 - alpha / 2.0 == 1.0:
-        raise ValueError(f"alpha {alpha!r} is too small: 1 - alpha/2 rounds to 1")
-    return alpha
-
-
-def _check_t(t_stat: float) -> float:
-    t_stat = float(t_stat)
-    if not math.isfinite(t_stat):
-        raise ValueError(f"t_stat must be finite, got {t_stat!r}")
-    return t_stat
-
-
 @functools.lru_cache(maxsize=512)
 def decision_regions(null: NullDistribution, alpha: float) -> DecisionRegions:
     # Cached: the result is immutable and every engine reads it.  The
@@ -212,7 +196,7 @@ def _also_rejected(procedure: Procedure, index: int) -> Hypothesis | None:
 def _merged_decision(
     procedure: Procedure, t_stat: float, null: NullDistribution, alpha: float
 ) -> Decision:
-    t_stat = _check_t(t_stat)
+    t_stat = _check_finite(t_stat, "t_stat")
     q1, q2, q3, q4 = decision_regions(null, alpha).boundaries
     index = _index_from_boundaries(t_stat, q1, q2, q3, q4)
     return _DECISIONS[_MERGE[procedure][index] - 1]
@@ -229,7 +213,7 @@ def five_decision_via_three_tests(
     """Same verdict, derived from three traditional tests at level alpha:
     one-sided-left (reject when t < q_a), one-sided-right (t > q_{1-a}),
     and two-sided (|t| beyond the a/2 tails)."""
-    t_stat = _check_t(t_stat)
+    t_stat = _check_finite(t_stat, "t_stat")
     q1, q2, q3, q4 = decision_regions(null, alpha).boundaries
     left = t_stat < q2
     right = t_stat > q3
@@ -258,9 +242,7 @@ def five_decision_via_ci(r: TestResult, theta0: float, alpha: float) -> Decision
     the ladder runs from decision 5 upward.
     """
     wide, narrow = decision_regions(r.null, alpha).nested_intervals(r.estimate, r.se)
-    theta0 = float(theta0)
-    if not math.isfinite(theta0):
-        raise ValueError("theta0 must be finite")
+    theta0 = _check_finite(theta0, "theta0")
     if theta0 < wide[0]:
         return Decision.from_index(5)
     if theta0 < narrow[0]:

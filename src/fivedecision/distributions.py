@@ -14,6 +14,20 @@ It raises OverflowError when the quantile lies beyond the float range
 (Student t at small df) and ArithmeticError when it does not converge.
 Each solve is kept per (null, p) in a bounded cache, and Student t takes
 0 < df <= 2**53.
+
+Every module checks its input with the private checks below, so each
+rule (finite, positive, integer, probability) has one ValueError message:
+
+    {name} must be finite, got {value!r}
+    {name} must be positive, got {value!r}
+    {name} must be an integer, got {value!r}
+    {name} must be at least {low}, got {value}
+    {name} must lie in (0, 1), got {value!r}
+    {name} {value!r} is too small: 1 - {name} rounds to 1
+
+The checked records (NullDistribution here, and those of stattests, power
+and simulation) derive from _Checked, whose one _make runs their checks
+however they are built.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 import sys
 from collections import namedtuple
 
@@ -49,12 +64,67 @@ _MAX_DF = 2.0**53
 _CF_MIN_DF = 4.0
 
 
+def _check_finite(x: float, name: str) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
+
+
+def _check_positive(x: float, name: str) -> float:
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive, got {x!r}")
+    return x
+
+
+def _check_int(x: int, name: str, low: int | None = None) -> int:
+    # operator.index takes int and numpy integers, and refuses floats
+    # such as 10.5 that would otherwise pass a range check.
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+    if low is not None and x < low:
+        raise ValueError(f"{name} must be at least {low}, got {x}")
+    return x
+
+
+def _check_probability(p: float, name: str) -> float:
+    # Below 1/2 a p whose complement rounds to 1 has no mirror to solve.
+    p = float(p)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {p!r}")
+    if 1.0 - p == 1.0:
+        raise ValueError(f"{name} {p!r} is too small: 1 - {name} rounds to 1")
+    return p
+
+
+def _check_alpha(alpha: float) -> float:
+    alpha = float(alpha)
+    if not 0.0 < alpha <= 0.5:
+        raise ValueError(f"alpha must lie in (0, 0.5], got {alpha!r}")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ValueError(f"alpha {alpha!r} is too small: 1 - alpha/2 rounds to 1")
+    return alpha
+
+
+class _Checked:
+    """Base of the named tuples whose __new__ checks their fields.  The
+    _make that namedtuple defines, and _replace calls, skips __new__;
+    this one runs it."""
+
+    __slots__ = ()
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+
 class Kind(enum.Enum):
     STANDARD_NORMAL = "StandardNormal"
     STUDENT_T = "StudentT"
 
 
-class NullDistribution(namedtuple("NullDistribution", "kind df")):
+class NullDistribution(_Checked, namedtuple("NullDistribution", "kind df")):
     """Distribution of a test statistic when the parameter sits at the
     tested value.  ``df`` is present exactly when ``kind`` is Student t."""
 
@@ -67,9 +137,6 @@ class NullDistribution(namedtuple("NullDistribution", "kind df")):
         elif df is not None:
             raise ValueError("df is only meaningful for StudentT")
         return super().__new__(cls, kind, df)
-
-    # The inherited _make, which _replace calls, skips __new__.
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def standard_normal() -> NullDistribution:
@@ -188,17 +255,13 @@ def _cornish_fisher(df: float, z: float) -> float:
 
 def cdf(d: NullDistribution, t: float) -> float:
     """P(T <= t) under the null distribution ``d``."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    t = _check_finite(t, "t")
     return _upper_tail(d, -t)[0] if t < 0.0 else 1.0 - _upper_tail(d, t)[0]
 
 
 def density(d: NullDistribution, t: float) -> float:
     """Probability density of ``d`` at ``t``."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    t = _check_finite(t, "t")
     if d.kind is Kind.STANDARD_NORMAL:
         return _INV_SQRT_2PI * math.exp(-0.5 * t * t)
     df = d.df
@@ -212,14 +275,10 @@ def quantile(d: NullDistribution, p: float) -> float:
     Symmetry is built in: quantile(p) for p below one half is computed
     as the negated mirror, so quantile(p) == -quantile(1 - p) exactly.
     """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly between 0 and 1, got {p!r}")
+    p = _check_probability(p, "p")
     if p == 0.5:
         return 0.0
     if p < 0.5:
-        if 1.0 - p == 1.0:
-            raise ValueError(f"p {p!r} is too small: 1 - p rounds to 1")
         return -quantile(d, 1.0 - p)
     return _upper_quantile(d, p)
 

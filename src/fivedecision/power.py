@@ -20,8 +20,9 @@ import warnings
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .decisions import _TARGETS, Hypothesis, _check_alpha, decision_regions
-from .distributions import _NORMAL, cdf, quantile
+from .decisions import _TARGETS, Hypothesis, decision_regions
+from .distributions import _NORMAL, _Checked, _check_alpha, _check_finite, cdf, quantile
+from .distributions import _check_positive, _check_probability
 
 __all__ = [
     "PowerSpec",
@@ -41,16 +42,17 @@ DEFAULT_TABLE_PSIS = (0.50, 0.80, 0.90, 0.95, 0.99)
 
 
 def _warn_at_caller(message: str) -> None:
-    # Name the first frame outside this module and collections, so that
-    # a spec built by _make or _replace warns at the line that built
-    # it, as a direct call does.
+    # Name the first frame outside this module, collections and the
+    # module of _Checked, so that a spec built by _make or _replace
+    # warns at the line that built it, as a direct call does.
+    skipped = (__name__, "collections", _Checked.__module__)
     frame, level = sys._getframe(1), 2
-    while frame.f_globals.get("__name__") in (__name__, "collections"):
+    while frame.f_globals.get("__name__") in skipped:
         frame, level = frame.f_back, level + 1
     warnings.warn(message, stacklevel=level)
 
 
-class PowerSpec(namedtuple("PowerSpec", "alpha effect target")):
+class PowerSpec(_Checked, namedtuple("PowerSpec", "alpha effect target")):
     """Which rejection to aim for, at which level, at which effect.
 
     The effect is standardized: (theta - theta0)/SE(theta_hat).
@@ -62,9 +64,8 @@ class PowerSpec(namedtuple("PowerSpec", "alpha effect target")):
     __slots__ = ()
 
     def __new__(cls, alpha: float, effect: float, target: Hypothesis):
-        _check_alpha(alpha)
-        if not math.isfinite(effect):
-            raise ValueError("effect must be finite")
+        alpha = _check_alpha(alpha)
+        effect = _check_finite(effect, "effect")
         if target not in _TARGETS:
             raise ValueError(f"target must be one of H1, H2, H4, H5, got {target}")
         if target in (Hypothesis.H4, Hypothesis.H5) and effect < 0:
@@ -73,11 +74,8 @@ class PowerSpec(namedtuple("PowerSpec", "alpha effect target")):
             _warn_at_caller("rejecting H1/H2 is the correct conclusion only for effect < 0")
         return super().__new__(cls, alpha, effect, target)
 
-    # The inherited _make, which _replace calls, skips __new__.
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
-
-class SampleSizeInputs(namedtuple("SampleSizeInputs", "alpha psi delta tau")):
+class SampleSizeInputs(_Checked, namedtuple("SampleSizeInputs", "alpha psi delta tau")):
     """Planning inputs: level, target power, smallest difference worth
     detecting (outcome units), and the SE scale tau with
     SE(theta_hat) = tau/sqrt(n)."""
@@ -85,17 +83,11 @@ class SampleSizeInputs(namedtuple("SampleSizeInputs", "alpha psi delta tau")):
     __slots__ = ()
 
     def __new__(cls, alpha: float, psi: float, delta: float, tau: float):
-        _check_alpha(alpha)
-        if not 0.0 < psi < 1.0:
-            raise ValueError(f"psi must lie in (0, 1), got {psi!r}")
-        if not (math.isfinite(delta) and delta > 0):
-            raise ValueError(f"delta must be positive, got {delta!r}")
-        if not (math.isfinite(tau) and tau > 0):
-            raise ValueError(f"tau must be positive, got {tau!r}")
+        alpha = _check_alpha(alpha)
+        psi = _check_probability(psi, "psi")
+        delta = _check_positive(delta, "delta")
+        tau = _check_positive(tau, "tau")
         return super().__new__(cls, alpha, psi, delta, tau)
-
-    # The inherited _make, which _replace calls, skips __new__.
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class SampleSizeResult(namedtuple("SampleSizeResult", "n_exact n")):

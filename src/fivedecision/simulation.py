@@ -33,9 +33,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .decisions import Procedure, decision_regions
-from .decisions import _MERGE, _check_alpha, _index_from_boundaries, _wrong_indices
-from .distributions import student_t
-from .stattests import _check_int
+from .decisions import _MERGE, _index_from_boundaries, _wrong_indices
+from .distributions import _check_alpha, _check_finite, _check_int, _Checked, student_t
 
 __all__ = [
     "Procedure",
@@ -55,6 +54,7 @@ _MAX_DRAWS = 1 << 40
 
 
 class SimulationConfig(
+    _Checked,
     namedtuple(
         "SimulationConfig",
         "n_per_group mean_diff_over_sigma alpha trials seed procedure",
@@ -71,16 +71,11 @@ class SimulationConfig(
         seed: int,
         procedure: Procedure = Procedure.FIVE_DECISION,
     ):
-        n_per_group = _check_int(n_per_group, "n_per_group")
-        trials = _check_int(trials, "trials")
+        n_per_group = _check_int(n_per_group, "n_per_group", 2)
+        trials = _check_int(trials, "trials", 1)
         seed = _check_int(seed, "seed")
-        if n_per_group < 2:
-            raise ValueError(f"n_per_group must be at least 2, got {n_per_group}")
-        if trials < 1:
-            raise ValueError(f"trials must be at least 1, got {trials}")
-        if not math.isfinite(mean_diff_over_sigma):
-            raise ValueError("mean_diff_over_sigma must be finite")
-        _check_alpha(alpha)
+        mean_diff_over_sigma = _check_finite(mean_diff_over_sigma, "mean_diff_over_sigma")
+        alpha = _check_alpha(alpha)
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
         if not isinstance(procedure, Procedure):
@@ -90,9 +85,6 @@ class SimulationConfig(
         return super().__new__(
             cls, n_per_group, mean_diff_over_sigma, alpha, trials, seed, procedure
         )
-
-    # The inherited _make, which _replace calls, skips __new__.
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class SimulationReport(
@@ -210,9 +202,7 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
     # the package and every other CLI command start without them.
     import numpy as np
 
-    workers = _check_int(workers, "workers")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = _check_int(workers, "workers", 1)
     # A solve that fails raises here, not in a thread; the tasks then
     # read the boundaries from the region cache.
     _boundaries(cfg)

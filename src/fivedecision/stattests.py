@@ -12,11 +12,11 @@ version, and its mean is math.fsum(xs) / n.
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from collections.abc import Sequence
 
 from .distributions import NullDistribution, cdf, quantile, standard_normal, student_t
+from .distributions import _Checked, _check_finite, _check_int, _check_positive
 
 __all__ = [
     "DegenerateDataError",
@@ -35,35 +35,19 @@ class DegenerateDataError(ValueError):
     can map it to its own exit code."""
 
 
-def _check_int(value: int, name: str) -> int:
-    # operator.index takes int and numpy integers, and refuses floats
-    # such as 10.5 that would otherwise pass a range check.
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-class GroupSummary(namedtuple("GroupSummary", "n mean sd")):
+class GroupSummary(_Checked, namedtuple("GroupSummary", "n mean sd")):
     """Size, mean, and sample standard deviation of one group."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, mean: float, sd: float):
-        n = _check_int(n, "group size")
-        if n < 2:
-            raise ValueError(f"group size must be at least 2, got {n}")
-        if not (math.isfinite(mean) and math.isfinite(sd)):
-            raise ValueError("mean and sd must be finite")
-        if sd <= 0:
-            raise ValueError(f"sd must be positive, got {sd}")
+        n = _check_int(n, "group size", 2)
+        mean = _check_finite(mean, "mean")
+        sd = _check_positive(sd, "sd")
         if sd * sd == 0.0:
             # The pooled variance would be 0 and the data look degenerate.
             raise ValueError(f"sd {sd!r} is too small: its square underflows to 0")
         return super().__new__(cls, n, mean, sd)
-
-    # The inherited _make, which _replace calls, skips __new__.
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class TestResult(namedtuple("TestResult", "t_stat null p_two_sided estimate se")):
@@ -87,8 +71,7 @@ def _pooled_t(
 ) -> TestResult:
     """Pooled t of group a minus group b, each given as (n, mean, sd)
     with n >= 2."""
-    if not math.isfinite(theta0):
-        raise ValueError("theta0 must be finite")
+    theta0 = _check_finite(theta0, "theta0")
     (n_a, mean_a, sd_a), (n_b, mean_b, sd_b) = a, b
     df = n_a + n_b - 2
     pooled_var = ((n_a - 1) * (sd_a * sd_a) + (n_b - 1) * (sd_b * sd_b)) / df
@@ -163,10 +146,9 @@ def _sample_sd(xs: list[float]) -> float:
 
 def wald(estimate: float, se: float, theta0: float = 0.0) -> TestResult:
     """Wald statistic (estimate - theta0)/se with a standard normal null."""
-    if not (math.isfinite(estimate) and math.isfinite(theta0)):
-        raise ValueError("estimate and theta0 must be finite")
-    if not (math.isfinite(se) and se > 0):
-        raise ValueError(f"se must be positive and finite, got {se!r}")
+    estimate = _check_finite(estimate, "estimate")
+    se = _check_positive(se, "se")
+    theta0 = _check_finite(theta0, "theta0")
     return _result(estimate, se, theta0, standard_normal())
 
 
@@ -174,7 +156,7 @@ def confidence_interval(r: TestResult, level: float) -> tuple[float, float]:
     """Symmetric two-sided interval estimate +- q*se at the given level."""
     level = float(level)
     if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie strictly between 0 and 1, got {level!r}")
+        raise ValueError(f"level must lie in (0, 1), got {level!r}")
     if 1.0 + level == 2.0:
         raise ValueError(f"level {level!r} is too close to 1: (1 + level)/2 rounds to 1")
     q = quantile(r.null, 0.5 * (1.0 + level))

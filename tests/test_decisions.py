@@ -47,6 +47,11 @@ class TestDecisionType:
             assert d.rejected is rejected
             assert d.accepted_implicitly is accepted
 
+    @pytest.mark.parametrize("index", [0, 6])
+    def test_index_out_of_range(self, index):
+        with pytest.raises(KeyError):
+            Decision.from_index(index)
+
     def test_comparators(self):
         assert Hypothesis.H1.comparator == ">="
         assert Hypothesis.H2.comparator == ">"
@@ -185,6 +190,11 @@ class TestCiFormulation:
                 five_decision_via_ci(r, theta0, alpha).index
                 == five_decision(r.t_stat, r.null, alpha).index
             )
+
+    @pytest.mark.parametrize("theta0", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_theta0(self, theta0):
+        with pytest.raises(ValueError, match=f"theta0 must be finite, got {theta0!r}"):
+            five_decision_via_ci(CHICK, theta0, 0.05)
 
     def test_alpha_half_degenerate_narrow_interval(self):
         r = wald(1.0, 1.0, 0.0)

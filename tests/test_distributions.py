@@ -193,6 +193,9 @@ class TestStudentCdf:
                 cdf(student_t(5), bad)
             with pytest.raises(ValueError):
                 cdf(standard_normal(), bad)
+            for d in (student_t(5), standard_normal()):
+                with pytest.raises(ValueError, match=f"t must be finite, got {bad!r}"):
+                    density(d, bad)
 
 
 class TestQuantile:

@@ -70,6 +70,11 @@ CHECKED = {
         {"seed": 1.5},
         "seed must be an integer, got 1.5",
     ),
+    "SimulationConfig-procedure-string": (
+        SimulationConfig,
+        {"procedure": "kaiser"},
+        "unknown procedure 'kaiser'",
+    ),
 }
 
 WAYS = {

@@ -438,7 +438,7 @@ class TestThreads:
     def test_sigint_stops_the_threads(self):
         # The child announces when a thread starts its task, is sent
         # SIGINT, and must exit long before its 10^9 trials (a minute on
-        # two threads) could finish.
+        # two threads) could finish, with one line and status 130.
         child = (
             "import sys\n"
             "from fivedecision import cli, simulation\n"
@@ -447,7 +447,7 @@ class TestThreads:
             "    print('running', flush=True)\n"
             "    return chunk(task)\n"
             "simulation._simulate_chunk = announcing_chunk\n"
-            "cli.main(sys.argv[1:])\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
         )
         argv = ["simulate", "--n", "63", "--trials", "1000000000", "--workers", "2"]
         src = str(Path(fivedecision.simulation.__file__).resolve().parents[1])
@@ -467,8 +467,8 @@ class TestThreads:
             assert proc.stdout.readline() == "running\n"
             proc.send_signal(signal.SIGINT)
             proc.wait(timeout=10)
-            assert proc.returncode == -signal.SIGINT
-            assert proc.stderr.read().rstrip().endswith("KeyboardInterrupt")
+            assert proc.returncode == 130
+            assert proc.stderr.read() == "error: interrupted\n"
         finally:
             proc.kill()
             proc.wait()

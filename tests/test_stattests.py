@@ -255,6 +255,12 @@ class TestWald:
             with pytest.raises(ValueError):
                 wald(1.0, se, 0.0)
 
+    def test_rejects_non_finite_estimate_and_theta0(self):
+        with pytest.raises(ValueError, match="estimate must be finite, got nan"):
+            wald(math.nan, 1.0)
+        with pytest.raises(ValueError, match="theta0 must be finite, got inf"):
+            wald(1.0, 1.0, math.inf)
+
     def test_far_tail_p_value(self):
         # 2 * (1 - cdf(9)) rounds to 0; the tail itself is 2.26e-19.
         p = wald(9.0, 1.0).p_two_sided
