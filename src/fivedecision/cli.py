@@ -540,9 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "worker threads (default 1), each running one contiguous share "
-            "of the trials; on 2 CPUs two threads pay off from about 100000 "
-            "trials"
+            "shares of the trials run at once (default 1), at most one share "
+            "per CPU; the calling thread runs the first, and a thread each "
+            "the others; on 2 CPUs two shares pay off from 32768 trials (two "
+            "16384-trial blocks)"
         ),
     )
     p_sim.set_defaults(func=cmd_simulate)

@@ -149,9 +149,28 @@ def decision_regions(null: NullDistribution, alpha: float) -> DecisionRegions:
 
 def _index_from_boundaries(t_stat, q1, q2, q3, q4):
     # Encodes the open/closed pattern: region 2 is [q1, q2), region 3
-    # is [q2, q3], region 4 is (q3, q4].  Works elementwise on numpy
-    # arrays as well as on floats.
+    # is [q2, q3], region 4 is (q3, q4].  _region_counts tallies the
+    # same four comparisons over an array, so ties go up at q1 and q2
+    # and stay down at q3 and q4 in both.
     return 1 + (t_stat >= q1) + (t_stat >= q2) + (t_stat > q3) + (t_stat > q4)
+
+
+def _region_counts(t, q1, q2, q3, q4) -> list[int]:
+    """How many entries of the numpy array t fall in regions 1-5.
+
+    Region k holds the entries past k - 1 boundaries but not past k;
+    counting past each boundary allocates no index array."""
+    from numpy import count_nonzero
+
+    past = (
+        t.size,
+        int(count_nonzero(t >= q1)),
+        int(count_nonzero(t >= q2)),
+        int(count_nonzero(t > q3)),
+        int(count_nonzero(t > q4)),
+        0,
+    )
+    return [past[k - 1] - past[k] for k in range(1, 6)]
 
 
 class Procedure(enum.Enum):

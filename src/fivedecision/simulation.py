@@ -28,12 +28,13 @@ changes the stream.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from collections import namedtuple
 from collections.abc import Sequence
 
 from .decisions import Procedure, decision_regions
-from .decisions import _MERGE, _index_from_boundaries, _wrong_indices
+from .decisions import _MERGE, _region_counts, _wrong_indices
 from .distributions import _check_alpha, _check_finite, _check_int, _Checked, student_t
 
 __all__ = [
@@ -159,12 +160,13 @@ def _boundaries(cfg: SimulationConfig) -> tuple[float, float, float, float]:
     return decision_regions(student_t(2 * cfg.n_per_group - 2), cfg.alpha).boundaries
 
 
-def _simulate_chunk(task: tuple) -> np.ndarray:
-    """Decision tallies (length-6 array indexed by decision) for the
-    trials [start, start+count) of a (cfg, start, count, stop) task,
+def _simulate_chunk(task: tuple) -> list[int]:
+    """How many of the trials [start, start+count) of a (cfg, start,
+    count, stop) task fall in each five-decision region 1-5,
     transforming the draws in place.  It runs in the calling thread or
     a pool thread; once the event `stop` is set, it returns after the
-    block it is on, with the tallies so far.
+    block it is on, with the counts so far.  An error sets `stop`, so
+    the other shares of the call end too.
     """
     import numpy as np
 
@@ -172,44 +174,57 @@ def _simulate_chunk(task: tuple) -> np.ndarray:
     n = cfg.n_per_group
     boundaries = _boundaries(cfg)
     shift = cfg.mean_diff_over_sigma * math.sqrt(n / 2.0)
-    merge = np.array(_MERGE[cfg.procedure])
-    totals = np.zeros(6, dtype=np.int64)
-    for t, s in _draws(cfg.seed, start, count, n):
-        s /= 2 * n - 2
-        np.sqrt(s, out=s)
-        t += shift
-        t /= s
-        idx = _index_from_boundaries(t, *boundaries)
-        totals += np.bincount(merge[idx], minlength=6)
-        if stop.is_set():
-            break
+    totals = [0] * 5
+    try:
+        for t, s in _draws(cfg.seed, start, count, n):
+            s /= 2 * n - 2
+            np.sqrt(s, out=s)
+            t += shift
+            t /= s
+            totals = [a + b for a, b in zip(totals, _region_counts(t, *boundaries))]
+            if stop.is_set():
+                break
+    except BaseException:
+        stop.set()
+        raise
     return totals
+
+
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
     """Run all trials and tally decisions.
 
-    The trials are cut into at most `workers` contiguous, block-aligned
-    tasks of equal block count (the last may be shorter).  One task
-    runs in the calling thread; more run on a thread pool with one
-    thread per task, which overlap because numpy's samplers and ufunc
-    loops release the interpreter lock (on 2 CPUs, two threads break
-    even near 100,000 trials).  The report is identical for any worker
-    count.  If the wait for the threads raises (Ctrl-C, or an error in
-    one task), the other tasks stop after their current block.
+    The trials are cut into at most min(`workers`, blocks, available
+    CPUs) contiguous, block-aligned tasks of equal block count (the
+    last may be shorter).  The first task runs in the calling thread,
+    and the others on a thread pool with one thread each; they overlap
+    because numpy's samplers and ufunc loops release the interpreter
+    lock (on 2 CPUs, two shares pay off from two blocks up).  The
+    report is identical for any worker count.  If any task raises, or
+    the caller is interrupted (Ctrl-C), the other tasks stop after
+    their current block and the error propagates.
     """
-    # numpy and the pool load here, not at module import, so importing
-    # the package and every other CLI command start without them.
-    import numpy as np
+    # numpy and its random module load here, not at module import, so
+    # importing the package and every other CLI command start without
+    # them; and before any pool thread starts, so that a Ctrl-C cannot
+    # land in an import that another thread waits on.
+    import numpy.random  # noqa: F401
 
     workers = _check_int(workers, "workers", 1)
     # A solve that fails raises here, not in a thread; the tasks then
     # read the boundaries from the region cache.
     _boundaries(cfg)
 
-    # ceil(blocks / workers) blocks per task; the event belongs to this
-    # call, so concurrent calls never stop each other.
+    # At most one task per available CPU, of ceil(blocks / workers)
+    # blocks each; the event belongs to this call, so concurrent calls
+    # never stop each other.
     blocks = -(-cfg.trials // _CHUNK_TRIALS)
+    workers = min(workers, _available_cpus())
     span = -(-blocks // workers) * _CHUNK_TRIALS
     stop = threading.Event()
     tasks = [
@@ -217,21 +232,26 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
         for start in range(0, cfg.trials, span)
     ]
     if len(tasks) == 1:
-        totals = _simulate_chunk(tasks[0])
+        regions = _simulate_chunk(tasks[0])
     else:
+        # The pool is imported only here, so a one-task call never loads it.
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
+        with ThreadPoolExecutor(max_workers=len(tasks) - 1) as pool:
             try:
-                totals = sum(pool.map(_simulate_chunk, tasks), np.zeros(6, np.int64))
+                others = pool.map(_simulate_chunk, tasks[1:])
+                shares = [_simulate_chunk(tasks[0]), *others]
             finally:
                 stop.set()
+        regions = [sum(share) for share in zip(*shares)]
 
-    keys = cfg.procedure.index_set
-    counts = {k: int(totals[k]) for k in keys}
-    freq = {k: counts[k] / cfg.trials for k in keys}
+    merge = _MERGE[cfg.procedure]
+    counts = dict.fromkeys(cfg.procedure.index_set, 0)
+    for region, count in enumerate(regions, 1):
+        counts[merge[region]] += count
+    freq = {k: counts[k] / cfg.trials for k in counts}
     mc_se = {
-        k: math.sqrt(freq[k] * (1.0 - freq[k]) / cfg.trials) for k in keys
+        k: math.sqrt(freq[k] * (1.0 - freq[k]) / cfg.trials) for k in counts
     }
     wrong = _wrong_indices(cfg.procedure, cfg.mean_diff_over_sigma)
     wrong_count = sum(counts[k] for k in wrong)

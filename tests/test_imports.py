@@ -131,6 +131,31 @@ def test_pool_output_matches_one_worker():
     assert _python(*argv, "--workers", "2") == _python(*argv, "--workers", "1")
 
 
+# Runs a two-task simulation with _simulate_chunk wrapped to note the
+# loaded modules as each share starts, and prints the modules that the
+# shares loaded themselves, one a line.
+SHARES_LOAD = """
+import sys
+from fivedecision import simulation
+chunk, seen = simulation._simulate_chunk, []
+def noting_chunk(task):
+    seen.append(set(sys.modules))
+    return chunk(task)
+simulation._simulate_chunk = noting_chunk
+simulation._available_cpus = lambda: 2
+cfg = simulation.SimulationConfig(12, 0.3, 0.05, 20000, 9)
+simulation.run_simulation(cfg, workers=2)
+print(*sorted(set(sys.modules) - seen[0]), sep="\\n")
+"""
+
+
+def test_simulation_shares_load_no_module():
+    # A Ctrl-C that lands in the calling thread's share while it imports
+    # a module a pool thread also waits for hangs the call, so every
+    # module the shares use loads before the first share starts.
+    assert _python("-S", "-c", SHARES_LOAD, path=[NUMPY_SITE]).split() == []
+
+
 def _loads(*argv):
     code, *modules = _python("-S", "-c", LOADS, *argv, path=[NUMPY_SITE]).split()
     assert code == "0"

@@ -18,7 +18,12 @@ from scipy import stats
 
 import fivedecision.decisions
 import fivedecision.simulation
-from fivedecision.decisions import five_decision
+from fivedecision.decisions import (
+    decision_regions,
+    five_decision,
+    jones_tukey_decision,
+    kaiser_decision,
+)
 from fivedecision.distributions import student_t
 from fivedecision.simulation import (
     Procedure,
@@ -105,6 +110,38 @@ class TestScalarAgreement:
             t = (shift + z_i) / math.sqrt(v_i / (2 * n - 2))
             counts[five_decision(t, null, cfg.alpha).index] += 1
         assert counts == report.counts
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5])
+    @pytest.mark.parametrize(
+        "procedure, engine",
+        [
+            (Procedure.FIVE_DECISION, five_decision),
+            (Procedure.KAISER, kaiser_decision),
+            (Procedure.JONES_TUKEY, jones_tukey_decision),
+        ],
+    )
+    def test_ties_at_the_boundaries_match_the_scalar_engines(
+        self, monkeypatch, alpha, procedure, engine
+    ):
+        # With V = 2n - 2 and no effect, t = Z exactly, so Z at each
+        # boundary and one float step to either side probe the tie rule.
+        n = 10
+        null = student_t(2 * n - 2)
+        ts = [
+            x
+            for q in decision_regions(null, alpha).boundaries
+            for x in (math.nextafter(q, -math.inf), q, math.nextafter(q, math.inf))
+        ]
+
+        def boundary_draws(seed, start, count, n_per_group):
+            yield np.array(ts[start : start + count]), np.full(count, 2.0 * n_per_group - 2)
+
+        monkeypatch.setattr(fivedecision.simulation, "_draws", boundary_draws)
+        cfg = BASE._replace(n_per_group=n, alpha=alpha, trials=len(ts), procedure=procedure)
+        expected = dict.fromkeys(procedure.index_set, 0)
+        for t in ts:
+            expected[engine(t, null, alpha).index] += 1
+        assert run_simulation(cfg).counts == expected
 
 
 def _binomial_z(count: int, trials: int, p: float) -> float:
@@ -337,8 +374,9 @@ class TestValidation:
     @pytest.fixture
     def inline_pool(self, monkeypatch):
         """Stand-ins for the thread pool and the chunk kernel that run
-        every task in the calling thread.  Returns the pool sizes built
-        and the (start, count) of every task, in order."""
+        every task in the calling thread, on a machine of 64 CPUs.
+        Returns the pool sizes built and the (start, count) of every
+        task, in order."""
         import concurrent.futures
 
         sizes, tasks = [], []
@@ -364,17 +402,19 @@ class TestValidation:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(fivedecision.simulation, "_simulate_chunk", recording_chunk)
+        monkeypatch.setattr(fivedecision.simulation, "_available_cpus", lambda: 64)
         return sizes, tasks
 
-    @pytest.mark.parametrize("workers, pool_size", [(2, 2), (64, 3)])
-    def test_pool_never_larger_than_task_count(self, inline_pool, workers, pool_size):
+    @pytest.mark.parametrize("workers, task_count", [(2, 2), (64, 3)])
+    def test_pool_never_larger_than_task_count(self, inline_pool, workers, task_count):
         sizes, tasks = inline_pool
         cfg = BASE._replace(trials=2 * _CHUNK_TRIALS + 5)
         report = run_simulation(cfg, workers=workers)
-        assert sizes == [pool_size]
+        # The calling thread runs the first task.
+        assert sizes == [task_count - 1]
         # Contiguous, block-aligned, covering [0, trials), at most one
         # task per worker.
-        assert len(tasks) == pool_size <= workers
+        assert len(tasks) == task_count <= workers
         assert tasks[0][0] == 0
         for (start, count), (next_start, _) in zip(tasks, tasks[1:]):
             assert next_start == start + count
@@ -386,7 +426,16 @@ class TestValidation:
         sizes, tasks = inline_pool
         cfg = BASE._replace(trials=5 * _CHUNK_TRIALS)
         report = run_simulation(cfg, workers=2)
-        assert sizes == [2]
+        assert sizes == [1]
+        assert tasks == [(0, 3 * _CHUNK_TRIALS), (3 * _CHUNK_TRIALS, 2 * _CHUNK_TRIALS)]
+        assert report == run_simulation(cfg, workers=1)
+
+    def test_no_more_tasks_than_cpus(self, inline_pool, monkeypatch):
+        sizes, tasks = inline_pool
+        monkeypatch.setattr(fivedecision.simulation, "_available_cpus", lambda: 2)
+        cfg = BASE._replace(trials=5 * _CHUNK_TRIALS)
+        report = run_simulation(cfg, workers=100000)
+        assert sizes == [1]
         assert tasks == [(0, 3 * _CHUNK_TRIALS), (3 * _CHUNK_TRIALS, 2 * _CHUNK_TRIALS)]
         assert report == run_simulation(cfg, workers=1)
 
@@ -433,6 +482,39 @@ class TestThreads:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         assert reports == [[report] * 3 for report in serial]
+
+    def test_error_in_one_share_stops_the_others(self, monkeypatch):
+        # Share 1 fails on its first block.  The caller's share is held
+        # before its first block until share 1 has ended, and must stop
+        # after that block; the call re-raises share 1's error.
+        draws = fivedecision.simulation._draws
+        chunk = fivedecision.simulation._simulate_chunk
+        share_1_ended = threading.Event()
+        caller_blocks = []
+
+        def failing_draws(seed, start, count, n_per_group):
+            if start:
+                raise RuntimeError("share 1 failed")
+            for block in draws(seed, start, count, n_per_group):
+                if not caller_blocks:
+                    assert share_1_ended.wait(timeout=30)
+                caller_blocks.append(start)
+                yield block
+
+        def signalling_chunk(task):
+            try:
+                return chunk(task)
+            finally:
+                if task[1]:
+                    share_1_ended.set()
+
+        monkeypatch.setattr(fivedecision.simulation, "_draws", failing_draws)
+        monkeypatch.setattr(fivedecision.simulation, "_simulate_chunk", signalling_chunk)
+        monkeypatch.setattr(fivedecision.simulation, "_available_cpus", lambda: 2)
+        cfg = BASE._replace(trials=20 * _CHUNK_TRIALS)
+        with pytest.raises(RuntimeError, match="share 1 failed"):
+            run_simulation(cfg, workers=2)
+        assert len(caller_blocks) == 1
 
     @pytest.mark.skipif(sys.platform == "win32", reason="needs POSIX SIGINT")
     def test_sigint_stops_the_threads(self):
