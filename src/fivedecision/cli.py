@@ -233,15 +233,19 @@ def cmd_decide(args: argparse.Namespace) -> tuple[dict, list, list]:
 def cmd_power(args: argparse.Namespace) -> tuple[dict, list, list]:
     from .power import PowerSpec, power_wald
 
-    with warnings.catch_warnings():
-        if not args.target:
-            # Reporting all four sides includes hypotheses on the wrong
-            # side of the effect by design; silence the advisory warning.
-            warnings.simplefilter("ignore")
+    # Caught whatever the warning filters say, so that a chosen target
+    # on the wrong side of the effect gives one line on stderr and the
+    # report.  Reporting all four sides includes hypotheses on the wrong
+    # side by design, so that advisory is dropped.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         targets = [Hypothesis(args.target)] if args.target else _TARGETS
         values = {
             h.value: power_wald(PowerSpec(args.alpha, args.effect, h)) for h in targets
         }
+    if args.target:
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
     payload = {
         "alpha": args.alpha,
         "effect": args.effect,
@@ -540,10 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "shares of the trials run at once (default 1), at most one share "
-            "per CPU; the calling thread runs the first, and a thread each "
-            "the others; on 2 CPUs two shares pay off from 32768 trials (two "
-            "16384-trial blocks)"
+            "shares of the trials run at once (default 1), at most one per "
+            "CPU and per 16384-trial block; the calling thread runs the "
+            "first, and a thread each the others; the output is the same"
         ),
     )
     p_sim.set_defaults(func=cmd_simulate)

@@ -116,17 +116,16 @@ class DecisionRegions(namedtuple("DecisionRegions", "alpha boundaries null")):
     __slots__ = ()
 
     def intervals(self) -> list[RegionInterval]:
-        q1, q2, q3, q4 = self.boundaries
-        spans = [
-            (1, -math.inf, q1, False, False),
-            (2, q1, q2, True, False),
-            (3, q2, q3, True, True),
-            (4, q3, q4, False, True),
-            (5, q4, math.inf, False, False),
-        ]
+        edges = (-math.inf, *self.boundaries, math.inf)
+        # A region holds its lower edge if ties there go up, and its
+        # upper edge if they stay down; padding the rule with "down"
+        # at -inf and "up" at +inf leaves both infinite ends open.
+        up = (False, *_TIES_UP, True)
         return [
-            RegionInterval(i, lo, hi, lc, uc, d.rejected)
-            for (i, lo, hi, lc, uc), d in zip(spans, _DECISIONS)
+            RegionInterval(
+                d.index, edges[i], edges[i + 1], up[i], not up[i + 1], d.rejected
+            )
+            for i, d in enumerate(_DECISIONS)
         ]
 
     def nested_intervals(self, estimate: float, se: float) -> tuple[tuple, tuple]:
@@ -147,30 +146,29 @@ def decision_regions(null: NullDistribution, alpha: float) -> DecisionRegions:
     return DecisionRegions(alpha=alpha, boundaries=boundaries, null=null)
 
 
+# The tie rule: whether a statistic equal to boundary q1, q2, q3 or q4
+# lies past it, in the region above.  So region 2 is [q1, q2), region 3
+# is [q2, q3] and region 4 is (q3, q4].
+_TIES_UP = (True, True, False, False)
+
+
 def _index_from_boundaries(t_stat, q1, q2, q3, q4):
-    # Encodes the open/closed pattern: region 2 is [q1, q2), region 3
-    # is [q2, q3], region 4 is (q3, q4].  _region_counts tallies the
-    # same four comparisons over an array, so ties go up at q1 and q2
-    # and stay down at q3 and q4 in both.
+    # _TIES_UP written out, as the scalar engines run this on every call.
     return 1 + (t_stat >= q1) + (t_stat >= q2) + (t_stat > q3) + (t_stat > q4)
 
 
-def _region_counts(t, q1, q2, q3, q4) -> list[int]:
+def _region_counts(t, boundaries) -> list[int]:
     """How many entries of the numpy array t fall in regions 1-5.
 
     Region k holds the entries past k - 1 boundaries but not past k;
     counting past each boundary allocates no index array."""
     from numpy import count_nonzero
 
-    past = (
-        t.size,
-        int(count_nonzero(t >= q1)),
-        int(count_nonzero(t >= q2)),
-        int(count_nonzero(t > q3)),
-        int(count_nonzero(t > q4)),
-        0,
-    )
-    return [past[k - 1] - past[k] for k in range(1, 6)]
+    past = [t.size]
+    for q, up in zip(boundaries, _TIES_UP):
+        past.append(int(count_nonzero(t >= q if up else t > q)))
+    past.append(0)
+    return [past[k] - past[k + 1] for k in range(5)]
 
 
 class Procedure(enum.Enum):

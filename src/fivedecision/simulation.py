@@ -19,10 +19,10 @@ Reproducibility contract: trials are grouped in fixed blocks of
 _CHUNK_TRIALS, and block b draws all its Z values, then all its V
 values, from its own Philox stream (key = seed, counter word 2 = b).
 A trial's (Z, V) is therefore a pure function of seed and trial index,
-and integer tallies merge associatively, so any chunking or worker
-count yields identical reports.  The draws come from numpy's normal
-and gamma samplers, so a numpy release that changes either sampler
-changes the stream.
+and integer tallies merge associatively, so any split of the blocks
+into shares, and so any worker count, yields identical reports.  The
+draws come from numpy's normal and gamma samplers, so a numpy release
+that changes either sampler changes the stream.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ __all__ = [
     "wrong_rejection_grid",
 ]
 
-# Trials per random-stream block, and tasks are whole runs of blocks;
+# Trials per random-stream block, and shares are sets of whole blocks;
 # part of the stream definition, so changing it changes every report.
 _CHUNK_TRIALS = 16384
 # Refuse configurations that stand for more observations (2n per
@@ -117,12 +117,13 @@ class SimulationReport(
         }
 
 
-def _draws(seed: int, start: int, count: int, n_per_group: int):
-    """Yield the (Z, V) sufficient statistics of trials [start,
-    start+count), one view per stream block they touch.
+def _draws(seed: int, blocks: range, trials: int, n_per_group: int):
+    """Yield the (Z, V) sufficient statistics of each stream block in
+    `blocks`, one view per block, of a run of `trials` trials.
 
-    Block b holds trials [b*B, (b+1)*B) with B = _CHUNK_TRIALS; its
-    Philox counter starts at b in word 2, so blocks never share counter
+    Block b holds trials [b*B, (b+1)*B) with B = _CHUNK_TRIALS, clipped
+    at `trials`, so only the run's last block can be short; its Philox
+    counter starts at b in word 2, so blocks never share counter
     values, and a block's draws depend only on (seed, b).  Every block
     is drawn into the same two buffers, which callers may transform in
     place; the next block overwrites them.  Fresh block-sized buffers
@@ -132,28 +133,15 @@ def _draws(seed: int, start: int, count: int, n_per_group: int):
     import numpy as np
 
     z, v = np.empty(_CHUNK_TRIALS), np.empty(_CHUNK_TRIALS)
-    end = start + count
-    for block in range(start // _CHUNK_TRIALS, (end - 1) // _CHUNK_TRIALS + 1):
-        first = block * _CHUNK_TRIALS
-        lo, hi = max(start, first) - first, min(end, first + _CHUNK_TRIALS) - first
+    for block in blocks:
+        size = min(_CHUNK_TRIALS, trials - block * _CHUNK_TRIALS)
         gen = np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
         # All B normals come first, so the gammas start at the same
         # stream position however few of them are needed.
         gen.standard_normal(out=z)
-        gen.standard_gamma(n_per_group - 1, out=v[:hi])
-        v[lo:hi] *= 2.0
-        yield z[lo:hi], v[lo:hi]
-
-
-def _trial_draws(
-    seed: int, start: int, count: int, n_per_group: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Copies of the (Z, V) of trials [start, start+count), joined."""
-    import numpy as np
-
-    draws = _draws(seed, start, count, n_per_group)
-    zs, vs = zip(*[(z.copy(), v.copy()) for z, v in draws])
-    return np.concatenate(zs), np.concatenate(vs)
+        gen.standard_gamma(n_per_group - 1, out=v[:size])
+        v[:size] *= 2.0
+        yield z[:size], v[:size]
 
 
 def _boundaries(cfg: SimulationConfig) -> tuple[float, float, float, float]:
@@ -161,29 +149,32 @@ def _boundaries(cfg: SimulationConfig) -> tuple[float, float, float, float]:
 
 
 def _simulate_chunk(task: tuple) -> list[int]:
-    """How many of the trials [start, start+count) of a (cfg, start,
-    count, stop) task fall in each five-decision region 1-5,
-    transforming the draws in place.  It runs in the calling thread or
-    a pool thread; once the event `stop` is set, it returns after the
-    block it is on, with the counts so far.  An error sets `stop`, so
-    the other shares of the call end too.
+    """How many trials of the blocks of a (cfg, blocks, stop) task fall
+    in each five-decision region 1-5, transforming the draws in place.
+    It runs in the calling thread or a pool thread; once the event
+    `stop` is set, it returns after the block it is on, with the counts
+    so far.  An error sets `stop`, so the other shares of the call end
+    too.
     """
     import numpy as np
 
-    cfg, start, count, stop = task
+    cfg, blocks, stop = task
     n = cfg.n_per_group
     boundaries = _boundaries(cfg)
     shift = cfg.mean_diff_over_sigma * math.sqrt(n / 2.0)
     totals = [0] * 5
     try:
-        for t, s in _draws(cfg.seed, start, count, n):
-            s /= 2 * n - 2
-            np.sqrt(s, out=s)
-            t += shift
-            t /= s
-            totals = [a + b for a, b in zip(totals, _region_counts(t, *boundaries))]
-            if stop.is_set():
-                break
+        # A t that overflows to +-inf still lies past q4 or below q1.
+        # numpy's error state is per thread, so it is set here.
+        with np.errstate(over="ignore"):
+            for t, s in _draws(cfg.seed, blocks, cfg.trials, n):
+                s /= 2 * n - 2
+                np.sqrt(s, out=s)
+                t += shift
+                t /= s
+                totals = [a + b for a, b in zip(totals, _region_counts(t, boundaries))]
+                if stop.is_set():
+                    break
     except BaseException:
         stop.set()
         raise
@@ -199,14 +190,14 @@ def _available_cpus() -> int:
 def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
     """Run all trials and tally decisions.
 
-    The trials are cut into at most min(`workers`, blocks, available
-    CPUs) contiguous, block-aligned tasks of equal block count (the
-    last may be shorter).  The first task runs in the calling thread,
-    and the others on a thread pool with one thread each; they overlap
-    because numpy's samplers and ufunc loops release the interpreter
-    lock (on 2 CPUs, two shares pay off from two blocks up).  The
-    report is identical for any worker count.  If any task raises, or
-    the caller is interrupted (Ctrl-C), the other tasks stop after
+    The stream blocks are dealt out to min(`workers`, blocks, available
+    CPUs) shares: share k runs blocks k, k + shares, k + 2 * shares, ...
+    The first share runs in the calling thread, and the others on a
+    thread pool with one thread each; they overlap because numpy's
+    samplers and ufunc loops release the interpreter lock.  Whether
+    that beats one share depends on the machine and the trial count.
+    The report is identical for any worker count.  If any share raises,
+    or the caller is interrupted (Ctrl-C), the other shares stop after
     their current block and the error propagates.
     """
     # numpy and its random module load here, not at module import, so
@@ -220,30 +211,26 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
     # read the boundaries from the region cache.
     _boundaries(cfg)
 
-    # At most one task per available CPU, of ceil(blocks / workers)
-    # blocks each; the event belongs to this call, so concurrent calls
-    # never stop each other.
+    # Share k runs blocks k, k + shares, ...: at most one share per
+    # worker, block and available CPU.  The event belongs to this call,
+    # so concurrent calls never stop each other.
     blocks = -(-cfg.trials // _CHUNK_TRIALS)
-    workers = min(workers, _available_cpus())
-    span = -(-blocks // workers) * _CHUNK_TRIALS
+    shares = min(workers, blocks, _available_cpus())
     stop = threading.Event()
-    tasks = [
-        (cfg, start, min(span, cfg.trials - start), stop)
-        for start in range(0, cfg.trials, span)
-    ]
-    if len(tasks) == 1:
+    tasks = [(cfg, range(k, blocks, shares), stop) for k in range(shares)]
+    if shares == 1:
         regions = _simulate_chunk(tasks[0])
     else:
-        # The pool is imported only here, so a one-task call never loads it.
+        # The pool is imported only here, so a one-share call never loads it.
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=len(tasks) - 1) as pool:
+        with ThreadPoolExecutor(max_workers=shares - 1) as pool:
             try:
                 others = pool.map(_simulate_chunk, tasks[1:])
-                shares = [_simulate_chunk(tasks[0]), *others]
+                tallies = [_simulate_chunk(tasks[0]), *others]
             finally:
                 stop.set()
-        regions = [sum(share) for share in zip(*shares)]
+        regions = [sum(tally) for tally in zip(*tallies)]
 
     merge = _MERGE[cfg.procedure]
     counts = dict.fromkeys(cfg.procedure.index_set, 0)

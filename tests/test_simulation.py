@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from fivedecision.simulation import (
     SimulationConfig,
     SimulationReport,
     _CHUNK_TRIALS,
-    _trial_draws,
+    _draws,
     run_simulation,
     wrong_rejection_grid,
 )
@@ -47,6 +48,19 @@ BASE = SimulationConfig(
 
 def _band(rate: float, trials: int) -> float:
     return 4.0 * math.sqrt(rate * (1.0 - rate) / trials)
+
+
+def _trial_draws(seed, start, count, n_per_group):
+    """Copies of the (Z, V) of trials [start, start+count), joined: the
+    blocks they touch, drawn as in a run of start + count trials, then
+    cut at start."""
+    end = start + count
+    first = start // _CHUNK_TRIALS
+    blocks = range(first, (end - 1) // _CHUNK_TRIALS + 1)
+    draws = _draws(seed, blocks, end, n_per_group)
+    zs, vs = zip(*[(z.copy(), v.copy()) for z, v in draws])
+    lo = start - first * _CHUNK_TRIALS
+    return np.concatenate(zs)[lo:], np.concatenate(vs)[lo:]
 
 
 def _draws_equal(a, b) -> bool:
@@ -133,8 +147,9 @@ class TestScalarAgreement:
             for x in (math.nextafter(q, -math.inf), q, math.nextafter(q, math.inf))
         ]
 
-        def boundary_draws(seed, start, count, n_per_group):
-            yield np.array(ts[start : start + count]), np.full(count, 2.0 * n_per_group - 2)
+        def boundary_draws(seed, blocks, trials, n_per_group):
+            assert list(blocks) == [0]
+            yield np.array(ts), np.full(trials, 2.0 * n_per_group - 2)
 
         monkeypatch.setattr(fivedecision.simulation, "_draws", boundary_draws)
         cfg = BASE._replace(n_per_group=n, alpha=alpha, trials=len(ts), procedure=procedure)
@@ -224,6 +239,22 @@ class TestReportShape:
         cfg = BASE._replace(trials=1)
         report = run_simulation(cfg)
         assert sorted(report.freq.values()) == [0.0, 0.0, 0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("effect, decision", [(1e308, 5), (-1e308, 1)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowing_statistics_warn_nothing(
+        self, monkeypatch, effect, decision, workers
+    ):
+        # At n = 2 the shift is the effect itself, so dividing by a
+        # sqrt(V / 2) below 1 overflows t to +-inf in both shares.
+        monkeypatch.setattr(fivedecision.simulation, "_available_cpus", lambda: 2)
+        cfg = BASE._replace(
+            n_per_group=2, mean_diff_over_sigma=effect, trials=2 * _CHUNK_TRIALS + 1
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_simulation(cfg, workers=workers)
+        assert report.counts[decision] == cfg.trials
 
     def test_to_dict_schema(self):
         d = run_simulation(BASE._replace(trials=50)).to_dict()
@@ -375,8 +406,8 @@ class TestValidation:
     def inline_pool(self, monkeypatch):
         """Stand-ins for the thread pool and the chunk kernel that run
         every task in the calling thread, on a machine of 64 CPUs.
-        Returns the pool sizes built and the (start, count) of every
-        task, in order."""
+        Returns the pool sizes built and the block range of every task,
+        in order."""
         import concurrent.futures
 
         sizes, tasks = [], []
@@ -397,7 +428,7 @@ class TestValidation:
         chunk = fivedecision.simulation._simulate_chunk
 
         def recording_chunk(task):
-            tasks.append(task[1:3])
+            tasks.append(task[1])
             return chunk(task)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
@@ -412,14 +443,9 @@ class TestValidation:
         report = run_simulation(cfg, workers=workers)
         # The calling thread runs the first task.
         assert sizes == [task_count - 1]
-        # Contiguous, block-aligned, covering [0, trials), at most one
-        # task per worker.
+        # The three blocks dealt out, at most one task per worker.
         assert len(tasks) == task_count <= workers
-        assert tasks[0][0] == 0
-        for (start, count), (next_start, _) in zip(tasks, tasks[1:]):
-            assert next_start == start + count
-        assert all(start % _CHUNK_TRIALS == 0 for start, _ in tasks)
-        assert sum(count for _, count in tasks) == cfg.trials
+        assert tasks == [range(k, 3, task_count) for k in range(task_count)]
         assert report == run_simulation(cfg, workers=1)
 
     def test_five_blocks_on_two_workers_split_three_and_two(self, inline_pool):
@@ -427,7 +453,7 @@ class TestValidation:
         cfg = BASE._replace(trials=5 * _CHUNK_TRIALS)
         report = run_simulation(cfg, workers=2)
         assert sizes == [1]
-        assert tasks == [(0, 3 * _CHUNK_TRIALS), (3 * _CHUNK_TRIALS, 2 * _CHUNK_TRIALS)]
+        assert tasks == [range(0, 5, 2), range(1, 5, 2)]
         assert report == run_simulation(cfg, workers=1)
 
     def test_no_more_tasks_than_cpus(self, inline_pool, monkeypatch):
@@ -436,7 +462,7 @@ class TestValidation:
         cfg = BASE._replace(trials=5 * _CHUNK_TRIALS)
         report = run_simulation(cfg, workers=100000)
         assert sizes == [1]
-        assert tasks == [(0, 3 * _CHUNK_TRIALS), (3 * _CHUNK_TRIALS, 2 * _CHUNK_TRIALS)]
+        assert tasks == [range(0, 5, 2), range(1, 5, 2)]
         assert report == run_simulation(cfg, workers=1)
 
     def test_one_worker_runs_one_task_and_no_pool(self, inline_pool):
@@ -444,7 +470,32 @@ class TestValidation:
         cfg = BASE._replace(trials=3 * _CHUNK_TRIALS + 7)
         run_simulation(cfg, workers=1)
         assert sizes == []
-        assert tasks == [(0, cfg.trials)]
+        assert tasks == [range(4)]
+
+    def test_every_block_runs_once_in_one_share_per_worker_block_and_cpu(
+        self, inline_pool, monkeypatch
+    ):
+        sizes, tasks = inline_pool
+        for full in range(1, 5):
+            for partial in (0, 1):
+                cfg = BASE._replace(trials=full * _CHUNK_TRIALS + partial)
+                blocks = full + partial
+                serial = run_simulation(cfg)
+                for cpus in range(1, 9):
+                    monkeypatch.setattr(
+                        fivedecision.simulation, "_available_cpus", lambda cpus=cpus: cpus
+                    )
+                    for workers in range(1, 9):
+                        sizes.clear()
+                        tasks.clear()
+                        report = run_simulation(cfg, workers=workers)
+                        shares = min(workers, blocks, cpus)
+                        assert sizes == ([shares - 1] if shares > 1 else [])
+                        assert tasks == [range(k, blocks, shares) for k in range(shares)]
+                        assert sorted(b for share in tasks for b in share) == list(
+                            range(blocks)
+                        )
+                        assert report == serial
 
 
 class TestThreads:
@@ -492,20 +543,20 @@ class TestThreads:
         share_1_ended = threading.Event()
         caller_blocks = []
 
-        def failing_draws(seed, start, count, n_per_group):
-            if start:
+        def failing_draws(seed, blocks, trials, n_per_group):
+            if blocks.start:
                 raise RuntimeError("share 1 failed")
-            for block in draws(seed, start, count, n_per_group):
+            for block in draws(seed, blocks, trials, n_per_group):
                 if not caller_blocks:
                     assert share_1_ended.wait(timeout=30)
-                caller_blocks.append(start)
+                caller_blocks.append(blocks.start)
                 yield block
 
         def signalling_chunk(task):
             try:
                 return chunk(task)
             finally:
-                if task[1]:
+                if task[1].start:
                     share_1_ended.set()
 
         monkeypatch.setattr(fivedecision.simulation, "_draws", failing_draws)
@@ -520,13 +571,16 @@ class TestThreads:
     def test_sigint_stops_the_threads(self):
         # The child announces when a thread starts its task, is sent
         # SIGINT, and must exit long before its 10^9 trials (a minute on
-        # two threads) could finish, with one line and status 130.
+        # two threads) could finish, with one line and status 130.  Each
+        # announcement is one write: print writes the newline apart, so
+        # two threads could interleave as "runningrunning\n\n".
         child = (
             "import sys\n"
             "from fivedecision import cli, simulation\n"
             "chunk = simulation._simulate_chunk\n"
             "def announcing_chunk(task):\n"
-            "    print('running', flush=True)\n"
+            "    sys.stdout.write('running\\n')\n"
+    "    sys.stdout.flush()\n"
             "    return chunk(task)\n"
             "simulation._simulate_chunk = announcing_chunk\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
