@@ -11,7 +11,9 @@ Subcommands:
 
 Each subcommand takes --format {text,json,tsv}.  JSON output is always
 full precision with sorted keys; --precision only affects the rounded
-text and tsv views.  Exit codes: 0 success, 1 stdout closed before
+text and tsv views, except that regions --format tsv prints each
+number's full repr (for plotting) and table prints whole percents at
+any precision.  Exit codes: 0 success, 1 stdout closed before
 the output was written (as by `| head`), 2 usage or parse errors,
 3 degenerate data, 130 interrupted (Ctrl-C).
 """
@@ -234,9 +236,9 @@ def cmd_power(args: argparse.Namespace) -> tuple[dict, list, list]:
     from .power import PowerSpec, power_wald
 
     # Caught whatever the warning filters say, so that a chosen target
-    # on the wrong side of the effect gives one line on stderr and the
-    # report.  Reporting all four sides includes hypotheses on the wrong
-    # side by design, so that advisory is dropped.
+    # that holds at the effect gives one line on stderr and the report.
+    # Reporting all four sides includes hypotheses that hold by design,
+    # so that advisory is dropped.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         targets = [Hypothesis(args.target)] if args.target else _TARGETS
@@ -291,15 +293,13 @@ def cmd_samplesize(args: argparse.Namespace) -> tuple[dict, list, list]:
 def _parse_float_list(
     text: str | None, flag: str, default: tuple[float, ...]
 ) -> list[float]:
-    if not text:
+    # Absent, the default grid; given, every field must be a number.
+    if text is None:
         return list(default)
     try:
-        values = [float(p) for p in text.split(",") if p.strip()]
+        return [float(p) for p in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"{flag} expects comma-separated numbers: {exc}") from exc
-    if not values:
-        raise ValueError(f"{flag} needs at least one value")
-    return values
 
 
 def cmd_table(args: argparse.Namespace) -> tuple[dict, list, list]:
@@ -451,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision",
         type=_precision,
         default=4,
-        help="significant digits in text/tsv output (default: 4)",
+        help="significant digits in text/tsv, but not regions tsv or table (default: 4)",
     )
     level = argparse.ArgumentParser(add_help=False)
     level.add_argument("--alpha", type=float, default=0.05)

@@ -19,13 +19,19 @@ verdicts {1,3,5}) and the two one-sided procedure run at full level a
 under the premise that theta = theta0 is impossible (verdicts
 {2,3,4}).  `Procedure` keys the one merge table; each procedure's
 verdicts, its wrong-side verdicts for the simulation and what else a
-Jones-Tukey verdict rejects are read off it here.  All of them, the
-nested intervals and the Wald power formulas read one set of
-boundaries, which decision_regions solves once per (null, alpha) and
-caches.  Its two quantiles, q_{1-a} and q_{1-a/2}, are the ones
-stattests.confidence_interval asks for at levels 1 - 2a and 1 - a, and
-quantile keeps each solve per (null, p), so those intervals solve
-nothing more.  Significance levels up to 0.5 are accepted; at exactly
+Jones-Tukey verdict rejects are read off it here.  One table states
+what each hypothesis asserts about theta - theta0: the comparator the
+CLI prints and the test of whether a hypothesis holds at an effect,
+which the simulation's wrong rejections and the power advisory read.
+All the engines, the nested intervals and the Wald power formulas read
+one set of boundaries, which decision_regions solves once per
+(null, alpha) and caches.  stattests.confidence_interval at levels
+1 - a and 1 - 2a asks for the quantile at 0.5 * (1 + level).  At round
+levels such as 0.1, 0.05, 0.01 and 0.005 that is q_{1-a/2} or q_{1-a}
+to the bit, and quantile keeps each solve per (null, p), so those
+intervals solve nothing more; at other levels (0.003, 0.08, 0.09) one
+of the two points rounds differently and is solved anew, up to about
+1e-12 away.  Significance levels up to 0.5 are accepted; at exactly
 0.5 the no-rejection region collapses to the single point q_{0.5}.
 """
 
@@ -34,6 +40,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from collections import namedtuple
 
 from .distributions import NullDistribution, _check_alpha, _check_finite, quantile
@@ -64,16 +71,25 @@ class Hypothesis(enum.Enum):
     @property
     def comparator(self) -> str | None:
         """Relation this hypothesis asserts between theta and theta0."""
-        return _COMPARATORS[self]
+        return _RELATIONS[self][0]
 
 
-_COMPARATORS = {
-    Hypothesis.H1: ">=",
-    Hypothesis.H2: ">",
-    Hypothesis.NONE: None,
-    Hypothesis.H4: "<",
-    Hypothesis.H5: "<=",
+# What each hypothesis asserts about theta - theta0: the comparator
+# printed against theta0 and the same test as a function of it.
+_RELATIONS = {
+    Hypothesis.H1: (">=", operator.ge),
+    Hypothesis.H2: (">", operator.gt),
+    Hypothesis.NONE: (None, None),
+    Hypothesis.H4: ("<", operator.lt),
+    Hypothesis.H5: ("<=", operator.le),
 }
+
+
+def _holds(hypothesis: Hypothesis, effect: float) -> bool:
+    """Whether the hypothesis is true at an effect of the sign of
+    theta - theta0, such as the standardized one; rejecting it there is
+    a wrong rejection."""
+    return hypothesis is not Hypothesis.NONE and _RELATIONS[hypothesis][1](effect, 0.0)
 
 
 class Decision(namedtuple("Decision", "index rejected accepted_implicitly")):
@@ -195,8 +211,8 @@ def _wrong_indices(procedure: Procedure, effect: float) -> tuple[int, ...]:
     # Verdicts that misstate the true side of the effect: the merged
     # regions that reject a hypothesis true at it.  At zero effect the
     # Jones-Tukey ones, 2 and 4, are counted without an alpha bound.
-    regions = (1, 2) if effect > 0 else (4, 5) if effect < 0 else (1, 5)
-    return tuple(sorted({_MERGE[procedure][i] for i in regions} - {3}))
+    wrong = {_MERGE[procedure][d.index] for d in _DECISIONS if _holds(d.rejected, effect)}
+    return tuple(sorted(wrong - {3}))
 
 
 def _also_rejected(procedure: Procedure, index: int) -> Hypothesis | None:

@@ -20,7 +20,7 @@ import warnings
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .decisions import _TARGETS, Hypothesis, decision_regions
+from .decisions import _TARGETS, Hypothesis, _holds, decision_regions
 from .distributions import _NORMAL, _Checked, _check_alpha, _check_finite, cdf, quantile
 from .distributions import _check_positive, _check_probability
 
@@ -56,9 +56,9 @@ class PowerSpec(_Checked, namedtuple("PowerSpec", "alpha effect target")):
     """Which rejection to aim for, at which level, at which effect.
 
     The effect is standardized: (theta - theta0)/SE(theta_hat).
-    Rejecting H4 or H5 is the correct goal only when theta really lies
-    above theta0, and H1/H2 only below; a mismatch is suspicious but
-    still well defined, so it warns instead of raising.
+    Rejecting a target that holds at the effect is a wrong rejection
+    (H1 and H5 both hold at effect 0); its power is suspicious as a
+    goal but still well defined, so it warns instead of raising.
     """
 
     __slots__ = ()
@@ -68,10 +68,9 @@ class PowerSpec(_Checked, namedtuple("PowerSpec", "alpha effect target")):
         effect = _check_finite(effect, "effect")
         if target not in _TARGETS:
             raise ValueError(f"target must be one of H1, H2, H4, H5, got {target}")
-        if target in (Hypothesis.H4, Hypothesis.H5) and effect < 0:
-            _warn_at_caller("rejecting H4/H5 is the correct conclusion only for effect > 0")
-        if target in (Hypothesis.H1, Hypothesis.H2) and effect > 0:
-            _warn_at_caller("rejecting H1/H2 is the correct conclusion only for effect < 0")
+        if _holds(target, effect):
+            msg = f"rejecting {target.value} is a wrong rejection at effect {effect}"
+            _warn_at_caller(f"{msg}: theta {target.comparator} theta0 holds there")
         return super().__new__(cls, alpha, effect, target)
 
 

@@ -92,7 +92,7 @@ def two_sample_t(a: GroupSummary, b: GroupSummary, theta0: float = 0.0) -> TestR
     the familiar sqrt(n/2)*(mean_a-mean_b)/s form.  The null is
     Student t with n_a + n_b - 2 degrees of freedom.
     """
-    return _pooled_t((a.n, a.mean, a.sd), (b.n, b.mean, b.sd), theta0)
+    return _pooled_t(a, b, theta0)
 
 
 def two_sample_t_raw(

@@ -3,6 +3,7 @@ formulation equivalence, the merge structure of the classical
 procedures, and the one cached boundary solve they all read."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from fivedecision.cli import main
 from fivedecision.decisions import (
     Decision,
     Hypothesis,
+    Procedure,
+    _wrong_indices,
     decision_regions,
     five_decision,
     five_decision_via_ci,
@@ -251,6 +254,48 @@ class TestJonesTukey:
                 assert jones_tukey_decision(t, NORMAL, alpha).index == 2
 
 
+class TestWrongSide:
+    """One table of what each hypothesis asserts decides both the
+    wrong rejections the simulation counts and the power advisory."""
+
+    @pytest.mark.parametrize(
+        "procedure, effect, wrong",
+        [
+            (Procedure.FIVE_DECISION, -1.0, (4, 5)),
+            (Procedure.FIVE_DECISION, -0.0, (1, 5)),
+            (Procedure.FIVE_DECISION, 0.0, (1, 5)),
+            (Procedure.FIVE_DECISION, 1.0, (1, 2)),
+            (Procedure.KAISER, -1.0, (5,)),
+            (Procedure.KAISER, -0.0, (1, 5)),
+            (Procedure.KAISER, 0.0, (1, 5)),
+            (Procedure.KAISER, 1.0, (1,)),
+            (Procedure.JONES_TUKEY, -1.0, (4,)),
+            (Procedure.JONES_TUKEY, -0.0, (2, 4)),
+            (Procedure.JONES_TUKEY, 0.0, (2, 4)),
+            (Procedure.JONES_TUKEY, 1.0, (2,)),
+        ],
+    )
+    def test_wrong_indices(self, procedure, effect, wrong):
+        assert _wrong_indices(procedure, effect) == wrong
+
+    @pytest.mark.parametrize("effect", [-1.0, -0.0, 0.0, 1.0])
+    @pytest.mark.parametrize(
+        "target", [Hypothesis.H1, Hypothesis.H2, Hypothesis.H4, Hypothesis.H5]
+    )
+    def test_power_warns_exactly_at_simulated_wrong_rejections(self, target, effect):
+        region = {Hypothesis.H1: 1, Hypothesis.H2: 2, Hypothesis.H4: 4, Hypothesis.H5: 5}
+        wrong = region[target] in _wrong_indices(Procedure.FIVE_DECISION, effect)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            PowerSpec(0.05, effect, target)
+        assert len(caught) == wrong
+        if wrong:
+            assert str(caught[0].message) == (
+                f"rejecting {target.value} is a wrong rejection at effect {effect}: "
+                f"theta {target.comparator} theta0 holds there"
+            )
+
+
 class TestDecisionRegions:
     def test_normal_boundaries_at_three_decimals(self):
         q = decision_regions(NORMAL, 0.05).boundaries
@@ -316,8 +361,10 @@ class TestBoundariesSolvedOnce:
         solves.clear()
         five_decision_via_ci(CHICK, 0.0, 0.05)
         assert main(["decide", "--summary", "10,205.6,65.2,10,258.9,70.3"]) == 0
-        for target in (Hypothesis.H1, Hypothesis.H2, Hypothesis.H4, Hypothesis.H5):
-            power_wald(PowerSpec(0.05, 0.0, target))
+        # H1 and H5 hold at effect 0, so their specs warn.
+        with pytest.warns(UserWarning, match="wrong rejection at effect 0.0"):
+            for target in (Hypothesis.H1, Hypothesis.H2, Hypothesis.H4, Hypothesis.H5):
+                power_wald(PowerSpec(0.05, 0.0, target))
         assert solves == []
         assert "decision 4" in capsys.readouterr().out
 

@@ -481,8 +481,10 @@ class TestQuantileCache:
 
     @pytest.mark.parametrize("alpha", [0.1, 0.05, 0.01, 0.005])
     def test_intervals_reuse_the_region_boundaries(self, monkeypatch, alpha):
-        # 1 - a and 1 - 2a name the same upper quantiles, 1 - a/2 and 1 - a,
-        # that a cold decision_regions has just solved.  Both caches are
+        # At these round levels 1 - a and 1 - 2a name the same upper
+        # quantiles, 1 - a/2 and 1 - a, that a cold decision_regions has
+        # just solved.  Not at every alpha: at 0.003, 0.08 or 0.09 one of
+        # 0.5 * (1 + level) rounds to a neighbouring float.  Both caches are
         # cleared for each null: the t solves warm the normal entries.
         results = [
             two_sample_t(GroupSummary(10, 205.6, 65.2), GroupSummary(10, 258.9, 70.3)),

@@ -67,9 +67,10 @@ class TestPowerWald:
         assert power_wald(PowerSpec(0.05, 0.0, Hypothesis.H4)) == pytest.approx(
             0.05, abs=1e-12
         )
-        assert power_wald(PowerSpec(0.05, 0.0, Hypothesis.H5)) == pytest.approx(
-            0.025, abs=1e-12
-        )
+        # H5 holds at effect 0, so aiming to reject it warns.
+        with pytest.warns(UserWarning, match="rejecting H5 is a wrong rejection"):
+            spec = PowerSpec(0.05, 0.0, Hypothesis.H5)
+        assert power_wald(spec) == pytest.approx(0.025, abs=1e-12)
 
     def test_scipy_cross_check(self):
         rng = np.random.default_rng(31)
@@ -93,10 +94,12 @@ class TestPowerWald:
             assert psi2 >= psi1
 
     def test_monotone_in_effect(self):
-        values = [
-            power_wald(PowerSpec(0.05, e, Hypothesis.H5))
-            for e in np.linspace(0, 5, 101)
-        ]
+        # The grid starts at effect 0, where H5 holds and the spec warns.
+        with pytest.warns(UserWarning, match="rejecting H5 is a wrong rejection at effect 0.0"):
+            values = [
+                power_wald(PowerSpec(0.05, e, Hypothesis.H5))
+                for e in np.linspace(0, 5, 101)
+            ]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_sign_mismatch_warns(self):
