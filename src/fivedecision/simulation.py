@@ -15,9 +15,10 @@ any n.  Frequencies estimate the per-decision probabilities; the
 wrong-rejection rate scores decisions against the true side of the
 effect, read off the same table.
 
-Reproducibility contract: trials are grouped in fixed blocks of
-_CHUNK_TRIALS, and block b draws all its Z values, then all its V
-values, from its own Philox stream (key = seed, counter word 2 = b).
+Reproducibility contract (`schema_version` 3): trials are grouped in
+fixed blocks of _CHUNK_TRIALS, and block b draws all its Z values, then
+all its V values, from its own SFC64 stream, keyed by
+`SeedSequence(seed, spawn_key=(b,))`: child b of `SeedSequence(seed)`.
 A trial's (Z, V) is therefore a pure function of seed and trial index,
 and integer tallies merge associatively, so any split of the blocks
 into shares, and so any worker count, yields identical reports.  The
@@ -102,7 +103,7 @@ class SimulationReport(
     def to_dict(self) -> dict:
         """JSON-ready form; keys are stable and values full precision."""
         return {
-            "schema_version": 2,
+            "schema_version": 3,
             "procedure": self.config.procedure.value,
             "n_per_group": self.config.n_per_group,
             "mean_diff_over_sigma": self.config.mean_diff_over_sigma,
@@ -122,20 +123,23 @@ def _draws(seed: int, blocks: range, trials: int, n_per_group: int):
     `blocks`, one view per block, of a run of `trials` trials.
 
     Block b holds trials [b*B, (b+1)*B) with B = _CHUNK_TRIALS, clipped
-    at `trials`, so only the run's last block can be short; its Philox
-    counter starts at b in word 2, so blocks never share counter
-    values, and a block's draws depend only on (seed, b).  Every block
-    is drawn into the same two buffers, which callers may transform in
-    place; the next block overwrites them.  Fresh block-sized buffers
-    would be freed at the top of the heap, handed back to the system
-    and faulted in again, which can cost a fifth of the run time.
+    at `trials`, so only the run's last block can be short; its SFC64
+    stream is keyed by `SeedSequence(seed, spawn_key=(b,))`, numpy's
+    way to derive independent streams, so a block's draws depend only
+    on (seed, b).  Every block is drawn into the same two buffers,
+    which callers may transform in place; the next block overwrites
+    them.  Fresh block-sized buffers would be freed at the top of the
+    heap, handed back to the system and faulted in again, which can
+    cost a fifth of the run time.
     """
     import numpy as np
 
     z, v = np.empty(_CHUNK_TRIALS), np.empty(_CHUNK_TRIALS)
     for block in blocks:
         size = min(_CHUNK_TRIALS, trials - block * _CHUNK_TRIALS)
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
+        gen = np.random.Generator(
+            np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,)))
+        )
         # All B normals come first, so the gammas start at the same
         # stream position however few of them are needed.
         gen.standard_normal(out=z)

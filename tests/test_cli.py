@@ -327,7 +327,7 @@ class TestSimulate:
         assert code == 0
         payload = json.loads(out)
         assert sorted(payload["freq"].values()) == [0.0, 0.0, 0.0, 0.0, 1.0]
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
 
     def test_worker_count_invisible_in_json(self, capsys):
         argv = [

@@ -99,6 +99,29 @@ class TestSubstreams:
         for a, b in zip(_trial_draws(1, 0, 10, 5), _trial_draws(2, 0, 10, 5)):
             assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("size", [_CHUNK_TRIALS, 700], ids=["full", "short"])
+    def test_block_is_keyed_sfc64(self, size):
+        # The stream definition, rebuilt independently: block b draws
+        # from SFC64 keyed by child b of SeedSequence(seed), all B
+        # normals first, then 2 * Gamma(n - 1) for the block's trials.
+        seed, block, n = 12345, 3, 9
+        gen = np.random.Generator(
+            np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,)))
+        )
+        z = gen.standard_normal(_CHUNK_TRIALS)[:size]
+        v = 2 * gen.standard_gamma(n - 1, size)
+        assert _draws_equal(_trial_draws(seed, block * _CHUNK_TRIALS, size, n), (z, v))
+
+    def test_seed_and_block_keys_do_not_alias(self):
+        a = _trial_draws(0, _CHUNK_TRIALS, 100, 5)
+        b = _trial_draws(1, 0, 100, 5)
+        for x, y in zip(a, b):
+            assert not np.array_equal(x, y)
+
+    def test_largest_seed_draws(self):
+        z, v = _trial_draws(2**64 - 1, 0, 50, 5)
+        assert np.isfinite(z).all() and (v > 0.0).all()
+
 
 class TestScalarAgreement:
     def test_tallies_match_scalar_pipeline(self):
@@ -258,7 +281,7 @@ class TestReportShape:
 
     def test_to_dict_schema(self):
         d = run_simulation(BASE._replace(trials=50)).to_dict()
-        assert d["schema_version"] == 2
+        assert d["schema_version"] == 3
         assert d["procedure"] == "five-decision"
         assert set(d["counts"]) == {"1", "2", "3", "4", "5"}
 
