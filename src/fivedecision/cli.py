@@ -66,6 +66,14 @@ def _percent_label(level: float) -> str:
 
 # ---------------------------------------------------------------- decide
 
+def _int_or_float(text: str) -> int | float:
+    # So a group size of 10.5 or 1e1 meets GroupSummary's integer check.
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _parse_summary(text: str) -> tuple[GroupSummary, GroupSummary]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 6:
@@ -73,7 +81,7 @@ def _parse_summary(text: str) -> tuple[GroupSummary, GroupSummary]:
             "--summary needs 6 comma-separated values: n1,mean1,sd1,n2,mean2,sd2"
         )
     try:
-        n1, n2 = int(parts[0]), int(parts[3])
+        n1, n2 = _int_or_float(parts[0]), _int_or_float(parts[3])
         mean1, sd1 = float(parts[1]), float(parts[2])
         mean2, sd2 = float(parts[4]), float(parts[5])
     except ValueError as exc:

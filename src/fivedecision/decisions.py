@@ -173,20 +173,6 @@ def _index_from_boundaries(t_stat, q1, q2, q3, q4):
     return 1 + (t_stat >= q1) + (t_stat >= q2) + (t_stat > q3) + (t_stat > q4)
 
 
-def _region_counts(t, boundaries) -> list[int]:
-    """How many entries of the numpy array t fall in regions 1-5.
-
-    Region k holds the entries past k - 1 boundaries but not past k;
-    counting past each boundary allocates no index array."""
-    from numpy import count_nonzero
-
-    past = [t.size]
-    for q, up in zip(boundaries, _TIES_UP):
-        past.append(int(count_nonzero(t >= q if up else t > q)))
-    past.append(0)
-    return [past[k] - past[k + 1] for k in range(5)]
-
-
 class Procedure(enum.Enum):
     FIVE_DECISION = "five-decision"
     KAISER = "kaiser"

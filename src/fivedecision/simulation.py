@@ -24,6 +24,10 @@ and integer tallies merge associatively, so any split of the blocks
 into shares, and so any worker count, yields identical reports.  The
 draws come from numpy's normal and gamma samplers, so a numpy release
 that changes either sampler changes the stream.
+
+This is the package's one numpy module; it imports numpy inside its
+functions, so importing it loads none.  A run solves the region boundaries once, and a share (the
+blocks one thread runs) reads them from its task, not from a cache.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .decisions import Procedure, decision_regions
-from .decisions import _MERGE, _region_counts, _wrong_indices
+from .decisions import _MERGE, _TIES_UP, _wrong_indices
 from .distributions import _check_alpha, _check_finite, _check_int, _Checked, student_t
 
 __all__ = [
@@ -148,25 +152,23 @@ def _draws(seed: int, blocks: range, trials: int, n_per_group: int):
         yield z[:size], v[:size]
 
 
-def _boundaries(cfg: SimulationConfig) -> tuple[float, float, float, float]:
-    return decision_regions(student_t(2 * cfg.n_per_group - 2), cfg.alpha).boundaries
-
-
 def _simulate_chunk(task: tuple) -> list[int]:
-    """How many trials of the blocks of a (cfg, blocks, stop) task fall
-    in each five-decision region 1-5, transforming the draws in place.
-    It runs in the calling thread or a pool thread; once the event
-    `stop` is set, it returns after the block it is on, with the counts
-    so far.  An error sets `stop`, so the other shares of the call end
-    too.
+    """How many trials of the blocks of a (cfg, blocks, stop, boundaries)
+    task fall in each region 1-5 of `boundaries`, transforming the draws
+    in place.  It runs in the calling thread or a pool thread; once the
+    event `stop` is set, it returns after the block it is on, with the
+    counts so far.  An error sets `stop`, so the other shares of the
+    call end too.
     """
     import numpy as np
 
-    cfg, blocks, stop = task
+    cfg, blocks, stop, boundaries = task
     n = cfg.n_per_group
-    boundaries = _boundaries(cfg)
     shift = cfg.mean_diff_over_sigma * math.sqrt(n / 2.0)
-    totals = [0] * 5
+    # past[k] counts the trials past boundaries 1..k (past[0] all
+    # trials, past[5] none), so region k holds past[k - 1] - past[k];
+    # counting past each boundary allocates no index array.
+    past = [0] * 6
     try:
         # A t that overflows to +-inf still lies past q4 or below q1.
         # numpy's error state is per thread, so it is set here.
@@ -176,13 +178,15 @@ def _simulate_chunk(task: tuple) -> list[int]:
                 np.sqrt(s, out=s)
                 t += shift
                 t /= s
-                totals = [a + b for a, b in zip(totals, _region_counts(t, boundaries))]
+                past[0] += t.size
+                for k, (q, up) in enumerate(zip(boundaries, _TIES_UP), 1):
+                    past[k] += int(np.count_nonzero(t >= q if up else t > q))
                 if stop.is_set():
                     break
     except BaseException:
         stop.set()
         raise
-    return totals
+    return [past[k] - past[k + 1] for k in range(5)]
 
 
 def _available_cpus() -> int:
@@ -211,9 +215,9 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
     import numpy.random  # noqa: F401
 
     workers = _check_int(workers, "workers", 1)
-    # A solve that fails raises here, not in a thread; the tasks then
-    # read the boundaries from the region cache.
-    _boundaries(cfg)
+    # Solved once, here: a solve that fails raises in the calling
+    # thread, and the shares read the boundaries from their tasks.
+    boundaries = decision_regions(student_t(2 * cfg.n_per_group - 2), cfg.alpha).boundaries
 
     # Share k runs blocks k, k + shares, ...: at most one share per
     # worker, block and available CPU.  The event belongs to this call,
@@ -221,7 +225,7 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
     blocks = -(-cfg.trials // _CHUNK_TRIALS)
     shares = min(workers, blocks, _available_cpus())
     stop = threading.Event()
-    tasks = [(cfg, range(k, blocks, shares), stop) for k in range(shares)]
+    tasks = [(cfg, range(k, blocks, shares), stop, boundaries) for k in range(shares)]
     if shares == 1:
         regions = _simulate_chunk(tasks[0])
     else:

@@ -1,5 +1,6 @@
 """Smoke test: every narrative script in demos/ runs to completion
-against the package in src/ and prints something."""
+against the package in src/, with warnings as errors, prints something
+and writes nothing to stderr."""
 
 import os
 import pathlib
@@ -20,7 +21,7 @@ def test_demos_found():
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -29,3 +30,4 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    assert result.stderr == ""

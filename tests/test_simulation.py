@@ -557,6 +557,22 @@ class TestThreads:
         assert not any(caller.is_alive() for caller in callers)
         assert reports == [[report] * 3 for report in serial]
 
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_shares_read_the_boundaries_from_their_task(self, monkeypatch, workers):
+        # The call solves the boundaries once and hands them to every
+        # share, so no share touches the region cache.
+        calls = []
+
+        def counting_regions(null, alpha):
+            calls.append((null, alpha))
+            return decision_regions(null, alpha)
+
+        monkeypatch.setattr(fivedecision.simulation, "decision_regions", counting_regions)
+        monkeypatch.setattr(fivedecision.simulation, "_available_cpus", lambda: 64)
+        cfg = BASE._replace(trials=5 * _CHUNK_TRIALS)
+        run_simulation(cfg, workers=workers)
+        assert calls == [(student_t(2 * cfg.n_per_group - 2), cfg.alpha)]
+
     def test_error_in_one_share_stops_the_others(self, monkeypatch):
         # Share 1 fails on its first block.  The caller's share is held
         # before its first block until share 1 has ended, and must stop
