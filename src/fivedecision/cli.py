@@ -533,15 +533,17 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[level, output],
         help="seeded Monte Carlo decision frequencies",
     )
-    p_sim.add_argument("--n", type=int, required=True, help="observations per group")
+    # Integers parse as numbers, so 10.5 or 1e5 meets the integer rule's message.
+    p_sim.register("type", "number", _int_or_float)
+    p_sim.add_argument("--n", type="number", required=True, help="observations per group")
     p_sim.add_argument(
         "--effect",
         type=float,
         default=0.0,
         help="standardized mean difference (default 0)",
     )
-    p_sim.add_argument("--trials", type=int, default=100000)
-    p_sim.add_argument("--seed", type=int, default=1)
+    p_sim.add_argument("--trials", type="number", default=100000)
+    p_sim.add_argument("--seed", type="number", default=1)
     p_sim.add_argument(
         "--procedure",
         choices=[p.value for p in Procedure],
@@ -549,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--workers",
-        type=int,
+        type="number",
         default=1,
         help=(
             "shares of the trials run at once (default 1), at most one per "

@@ -11,7 +11,9 @@ version, and its mean is math.fsum(xs) / n.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from collections import namedtuple
 from collections.abc import Sequence
 
@@ -107,10 +109,10 @@ def two_sample_t_raw(
     """
     summaries = []
     for label, xs in (("first", xs_a), ("second", xs_b)):
-        xs = [float(x) for x in xs]
+        xs = list(map(float, xs))
         if len(xs) < 2:
             raise DegenerateDataError(f"{label} group needs at least 2 observations")
-        if not all(math.isfinite(x) for x in xs):
+        if not all(map(math.isfinite, xs)):
             raise ValueError(f"{label} group contains non-finite values")
         summaries.append((len(xs), math.fsum(xs) / len(xs), _sample_sd(xs)))
     return _pooled_t(summaries[0], summaries[1], theta0)
@@ -119,19 +121,36 @@ def two_sample_t_raw(
 def _sample_sd(xs: list[float]) -> float:
     """Sample standard deviation of finite floats, correctly rounded.
 
-    Each x is m * 2**-e over one common e, so the sample variance is
-    (n*sum(m*m) - sum(m)**2) / (n*(n-1)) * 2**(-2*e) exactly, in integers.
+    Each x is m * 2**-k over one common k, so the sample variance is
+    (n*sum(m*m) - sum(m)**2) / (n*(n-1)) * 4**-k exactly, in integers.
     Its square root is rounded to odd at 109 bits, then once to the float:
     the method of statistics.stdev from Python 3.11 (3.10's rounds the
     variance to a float first, and can land one ulp off).
+
+    k is 53 minus the binary exponent of the smallest nonzero |x|, so
+    every x * 2**k is an integer-valued float, formed by math.ldexp.  When
+    that overflows (the group spans more than about 970 binades) the
+    integers come from as_integer_ratio over the largest denominator
+    instead.  Any common k scales num and den by one power of four, which
+    leaves every bit of the result, and every OverflowError, the same.
     """
-    ratios = [x.as_integer_ratio() for x in xs]
-    scale = max(den for _, den in ratios)  # every denominator is a power of two
-    ms = [num * (scale // den) for num, den in ratios]
-    n = len(ms)
+    n = len(xs)
+    tiny = min(filter(None, map(abs, xs)), default=0.0)
+    k = 53 - math.frexp(tiny)[1] if tiny else 0
+    try:
+        ms = list(map(int, map(math.ldexp, xs, itertools.repeat(k, n))))
+    except OverflowError:
+        ratios = [x.as_integer_ratio() for x in xs]
+        scale = max(den for _, den in ratios)  # every denominator is a power of two
+        ms = [num * (scale // den) for num, den in ratios]
+        k = scale.bit_length() - 1
     total = sum(ms)
-    num = n * sum(m * m for m in ms) - total * total
-    den = n * (n - 1) * scale * scale
+    num = n * sum(map(operator.mul, ms, ms)) - total * total
+    den = n * (n - 1)
+    if k >= 0:
+        den <<= 2 * k
+    else:
+        num <<= -2 * k
     shift = (num.bit_length() - den.bit_length() - 109) // 2
     if shift >= 0:
         den <<= 2 * shift

@@ -2,6 +2,7 @@
 chick-weight example and self-consistency between raw and summary paths."""
 
 import math
+import random
 import statistics
 import sys
 from fractions import Fraction
@@ -199,23 +200,112 @@ def _exact_sd(xs):
         return mpmath.sqrt(mpmath.mpf(var.numerator) / var.denominator)
 
 
+def _sample_sd_by_ratios(xs):
+    # The integers taken from as_integer_ratio over the largest denominator:
+    # _sample_sd's formula before it scaled by 2**k with math.ldexp.  Kept
+    # as the reference that the scaled formula must match bit for bit.
+    ratios = [x.as_integer_ratio() for x in xs]
+    scale = max(den for _, den in ratios)
+    ms = [num * (scale // den) for num, den in ratios]
+    n = len(ms)
+    total = sum(ms)
+    num = n * sum(m * m for m in ms) - total * total
+    den = n * (n - 1) * scale * scale
+    shift = (num.bit_length() - den.bit_length() - 109) // 2
+    if shift >= 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return (root << shift) / 1 if shift >= 0 else root / (1 << -shift)
+
+
+def _outcome(f, xs):
+    # The float's hex, or the exception's type and message.
+    try:
+        return f(xs).hex()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _sd_corpus(seed):
+    rng = random.Random(seed)
+    for _ in range(300):  # normal data at scales from 1e-300 to 1e300
+        scale = 10.0 ** rng.uniform(-300, 300)
+        yield [rng.gauss(0.0, 1.0) * scale for _ in range(rng.randint(2, 120))]
+    for _ in range(300):  # random exponents, subnormal to near 2**1024
+        yield [
+            rng.choice((-1.0, 1.0)) * math.ldexp(rng.random(), rng.randint(-1074, 1024))
+            for _ in range(rng.randint(2, 40))
+        ]
+    edges = (0.0, -0.0, 5e-324, -5e-324, 1.0, 1e-300, 1e300, 1.7e308, -1.7e308)
+    for _ in range(300):  # zeros, repeats, and sds past the float range
+        yield [rng.choice(edges) for _ in range(rng.randint(2, 12))]
+
+
+# Finite floats over the whole range: ordinary data, subnormals, and
+# magnitudes near 1e308, mixed within one list.
+_ANY_MAGNITUDE = (
+    st.floats(min_value=-1e300, max_value=1e300)
+    | st.floats(min_value=-1e3, max_value=1e3)
+    | st.floats(min_value=-2.2e-308, max_value=2.2e-308)
+    | st.floats(min_value=1e307, max_value=1.7e308)
+    | st.floats(min_value=-1.7e308, max_value=-1e307)
+)
+
+
 class TestSampleSd:
     # The raw path's sd is the correctly rounded square root of the exact
     # sample variance, on every Python version.
 
     @PROPERTY
-    @given(
-        xs=st.lists(
-            st.floats(min_value=-1e300, max_value=1e300) | st.floats(min_value=-1e3, max_value=1e3),
-            min_size=2,
-            max_size=30,
-        )
-    )
+    @given(xs=st.lists(_ANY_MAGNITUDE, min_size=2, max_size=120))
     def test_correctly_rounded(self, xs):
-        sd = stattests._sample_sd(xs)
-        assert _is_nearest_float(sd, _exact_sd(xs))
+        exact = _exact_sd(xs)
+        try:
+            sd = stattests._sample_sd(xs)
+        except OverflowError:
+            assert exact > sys.float_info.max
+            return
+        assert _is_nearest_float(sd, exact)
         if sys.version_info >= (3, 11):
             assert sd.hex() == statistics.stdev(xs).hex()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_integer_ratio_formula(self, seed):
+        for xs in _sd_corpus(seed):
+            assert _outcome(stattests._sample_sd, xs) == _outcome(_sample_sd_by_ratios, xs), xs
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [5e-324, 1e300, -1e300],  # 2**1126 * 1e300 overflows math.ldexp
+            [5e-324, 1.7e308],
+            [-1e-320, 0.0, 1e308, 3.0],
+        ],
+    )
+    def test_groups_spanning_the_float_range(self, xs):
+        sd = stattests._sample_sd(xs)
+        assert math.isfinite(sd)
+        assert _is_nearest_float(sd, _exact_sd(xs))
+        assert sd.hex() == _sample_sd_by_ratios(xs).hex()
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [5e-324, 1e-323, 2.5e-322, -4e-320],  # subnormals only
+            [0.0, -0.0, 2.5, 0.0],
+            [0.0, 0.0, 0.0],
+            [-0.0, 1e-310],
+            [3.0, 3.0, 3.0],
+            [0.1 * i - 2.0 for i in range(100)],
+        ],
+    )
+    def test_small_edges_and_a_long_group(self, xs):
+        sd = stattests._sample_sd(xs)
+        assert _is_nearest_float(sd, _exact_sd(xs))
+        assert sd.hex() == _sample_sd_by_ratios(xs).hex()
 
     def test_sample_where_python_3_10_rounds_twice(self):
         # The variance of 1, 1.5, 7 is 133/12 exactly.  Python 3.10's
