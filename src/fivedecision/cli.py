@@ -555,8 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help=(
             "shares of the trials run at once (default 1), at most one per "
-            "CPU and per 16384-trial block; the calling thread runs the "
-            "first, and a thread each the others; the output is the same"
+            "CPU and per two 16384-trial blocks, so a run of under 65536 "
+            "trials uses one thread; the calling thread runs the first "
+            "share, and a thread each the others; the output is the same"
         ),
     )
     p_sim.set_defaults(func=cmd_simulate)

@@ -26,8 +26,9 @@ draws come from numpy's normal and gamma samplers, so a numpy release
 that changes either sampler changes the stream.
 
 This is the package's one numpy module; it imports numpy inside its
-functions, so importing it loads none.  A run solves the region boundaries once, and a share (the
-blocks one thread runs) reads them from its task, not from a cache.
+functions, so importing it loads none.  A run solves the region
+boundaries once, and a share (the blocks one thread runs) reads them
+from its task, not from a cache.
 """
 
 from __future__ import annotations
@@ -53,6 +54,13 @@ __all__ = [
 # Trials per random-stream block, and shares are sets of whole blocks;
 # part of the stream definition, so changing it changes every report.
 _CHUNK_TRIALS = 16384
+# Each share of a pooled call runs at least this many blocks, so a call
+# of fewer than twice this many runs on the calling thread alone.  A
+# pool thread's start and hand-off cost more than one block of work
+# saves: in the benchmark's two-block two-worker calls
+# (BENCH_5003df9.json) one block per share cost 1.10-1.37x the
+# one-worker time per trial in every run.
+_MIN_BLOCKS_PER_SHARE = 2
 # Refuse configurations that stand for more observations (2n per
 # trial) than this.  The kernel draws two numbers per trial whatever
 # n is, so this caps the modelled data size, not the draws.
@@ -190,6 +198,10 @@ def _simulate_chunk(task: tuple) -> list[int]:
 
 
 def _available_cpus() -> int:
+    # os.process_cpu_count (Python 3.13+) honours PYTHON_CPU_COUNT and
+    # -X cpu_count, so a user can cap the shares on a crowded host.
+    if hasattr(os, "process_cpu_count"):
+        return os.process_cpu_count() or 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -198,12 +210,15 @@ def _available_cpus() -> int:
 def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
     """Run all trials and tally decisions.
 
-    The stream blocks are dealt out to min(`workers`, blocks, available
-    CPUs) shares: share k runs blocks k, k + shares, k + 2 * shares, ...
-    The first share runs in the calling thread, and the others on a
-    thread pool with one thread each; they overlap because numpy's
-    samplers and ufunc loops release the interpreter lock.  Whether
-    that beats one share depends on the machine and the trial count.
+    The stream blocks are dealt out to min(`workers`, blocks // 2,
+    available CPUs) shares, at least one, so that every share runs two
+    blocks or more: share k runs blocks k, k + shares, k + 2 * shares,
+    ...  A call of fewer than four blocks (65,536 trials) thus runs on
+    the calling thread alone.  The first share runs in the calling
+    thread, and the others on a thread pool with one thread each; they
+    overlap because numpy's samplers and ufunc loops release the
+    interpreter lock.  Whether that beats one share depends on the
+    machine and the trial count.
     The report is identical for any worker count.  If any share raises,
     or the caller is interrupted (Ctrl-C), the other shares stop after
     their current block and the error propagates.
@@ -220,10 +235,11 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
     boundaries = decision_regions(student_t(2 * cfg.n_per_group - 2), cfg.alpha).boundaries
 
     # Share k runs blocks k, k + shares, ...: at most one share per
-    # worker, block and available CPU.  The event belongs to this call,
-    # so concurrent calls never stop each other.
+    # worker, per _MIN_BLOCKS_PER_SHARE blocks and per available CPU.
+    # The event belongs to this call, so concurrent calls never stop
+    # each other.
     blocks = -(-cfg.trials // _CHUNK_TRIALS)
-    shares = min(workers, blocks, _available_cpus())
+    shares = max(1, min(workers, blocks // _MIN_BLOCKS_PER_SHARE, _available_cpus()))
     stop = threading.Event()
     tasks = [(cfg, range(k, blocks, shares), stop, boundaries) for k in range(shares)]
     if shares == 1:

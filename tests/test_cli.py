@@ -337,7 +337,7 @@ class TestSimulate:
             "--effect",
             "0.3",
             "--trials",
-            "20000",
+            "70000",
             "--seed",
             "9",
             "--format",

@@ -37,7 +37,9 @@ loaded = [m for m in ("numpy", "concurrent.futures") if m in sys.modules]
 print(json.dumps({"code": code, "loaded": loaded, "stdout": out.getvalue()}))
 """
 
-SIM_ARGS = ["--n", "12", "--effect", "0.3", "--trials", "20000", "--seed", "9"]
+# 70000 trials make five blocks, two or more for each of two shares, so
+# two workers take the pool path.
+SIM_ARGS = ["--n", "12", "--effect", "0.3", "--trials", "70000", "--seed", "9"]
 
 # Runs cli.main on sys.argv[1:] under `python -S`, so that no site .pth
 # file preloads a module, and prints the exit code and then the name of
@@ -120,13 +122,12 @@ def test_simulate_loads_numpy_and_matches_library():
     assert result["code"] == 0
     assert "numpy" in result["loaded"]
     cfg = SimulationConfig(
-        n_per_group=12, mean_diff_over_sigma=0.3, alpha=0.05, trials=20000, seed=9
+        n_per_group=12, mean_diff_over_sigma=0.3, alpha=0.05, trials=70000, seed=9
     )
     assert json.loads(result["stdout"]) == run_simulation(cfg).to_dict()
 
 
 def test_pool_output_matches_one_worker():
-    # 20000 trials make two chunks, so two workers take the pool path.
     argv = ["-m", "fivedecision", "simulate", *SIM_ARGS, "--format", "json"]
     assert _python(*argv, "--workers", "2") == _python(*argv, "--workers", "1")
 
@@ -143,7 +144,7 @@ def noting_chunk(task):
     return chunk(task)
 simulation._simulate_chunk = noting_chunk
 simulation._available_cpus = lambda: 2
-cfg = simulation.SimulationConfig(12, 0.3, 0.05, 20000, 9)
+cfg = simulation.SimulationConfig(12, 0.3, 0.05, 70000, 9)
 simulation.run_simulation(cfg, workers=2)
 print(*sorted(set(sys.modules) - seen[0]), sep="\\n")
 """
@@ -211,7 +212,6 @@ def test_simulate_loads_simulation_and_numpy():
 
 
 def test_pooled_simulate_loads_no_process_machinery():
-    # 20000 trials make two blocks, so two workers take the pool path.
     loaded = _loads("simulate", *SIM_ARGS, "--workers", "2")
     assert "concurrent.futures.thread" in loaded
     assert loaded & {"multiprocessing", "concurrent.futures.process"} == set()

@@ -272,7 +272,7 @@ class TestReportShape:
         # sqrt(V / 2) below 1 overflows t to +-inf in both shares.
         monkeypatch.setattr(fivedecision.simulation, "_available_cpus", lambda: 2)
         cfg = BASE._replace(
-            n_per_group=2, mean_diff_over_sigma=effect, trials=2 * _CHUNK_TRIALS + 1
+            n_per_group=2, mean_diff_over_sigma=effect, trials=4 * _CHUNK_TRIALS + 1
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -462,13 +462,14 @@ class TestValidation:
     @pytest.mark.parametrize("workers, task_count", [(2, 2), (64, 3)])
     def test_pool_never_larger_than_task_count(self, inline_pool, workers, task_count):
         sizes, tasks = inline_pool
-        cfg = BASE._replace(trials=2 * _CHUNK_TRIALS + 5)
+        cfg = BASE._replace(trials=6 * _CHUNK_TRIALS + 5)
         report = run_simulation(cfg, workers=workers)
         # The calling thread runs the first task.
         assert sizes == [task_count - 1]
-        # The three blocks dealt out, at most one task per worker.
-        assert len(tasks) == task_count <= workers
-        assert tasks == [range(k, 3, task_count) for k in range(task_count)]
+        # The seven blocks dealt out, at most one task per worker and
+        # per two blocks.
+        assert len(tasks) == task_count <= min(workers, 7 // 2)
+        assert tasks == [range(k, 7, task_count) for k in range(task_count)]
         assert report == run_simulation(cfg, workers=1)
 
     def test_five_blocks_on_two_workers_split_three_and_two(self, inline_pool):
@@ -488,6 +489,19 @@ class TestValidation:
         assert tasks == [range(0, 5, 2), range(1, 5, 2)]
         assert report == run_simulation(cfg, workers=1)
 
+    def test_cpus_from_process_cpu_count_where_it_exists(self, monkeypatch):
+        # Python 3.13+, where PYTHON_CPU_COUNT and -X cpu_count set it.
+        monkeypatch.setattr(os, "process_cpu_count", lambda: 3, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert fivedecision.simulation._available_cpus() == 3
+        monkeypatch.setattr(os, "process_cpu_count", lambda: None)
+        assert fivedecision.simulation._available_cpus() == 1
+
+    def test_cpus_from_the_affinity_mask_before_python_3_13(self, monkeypatch):
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert fivedecision.simulation._available_cpus() == 3
+
     def test_one_worker_runs_one_task_and_no_pool(self, inline_pool):
         sizes, tasks = inline_pool
         cfg = BASE._replace(trials=3 * _CHUNK_TRIALS + 7)
@@ -495,11 +509,29 @@ class TestValidation:
         assert sizes == []
         assert tasks == [range(4)]
 
+    def test_below_the_floor_starts_no_pool(self, inline_pool):
+        # A share runs two blocks or more, so a call of one to three
+        # blocks, its last one full or short, runs on the calling thread
+        # for any worker count.
+        sizes, tasks = inline_pool
+        for blocks in range(1, 4):
+            for trials in (blocks * _CHUNK_TRIALS, blocks * _CHUNK_TRIALS - 700):
+                cfg = BASE._replace(trials=trials)
+                serial = run_simulation(cfg, workers=1)
+                for workers in range(2, 9):
+                    sizes.clear()
+                    tasks.clear()
+                    report = run_simulation(cfg, workers=workers)
+                    assert sizes == []
+                    assert tasks == [range(blocks)]
+                    assert report == serial
+
     def test_every_block_runs_once_in_one_share_per_worker_block_and_cpu(
         self, inline_pool, monkeypatch
     ):
         sizes, tasks = inline_pool
-        for full in range(1, 5):
+        # Up to seven blocks, so that up to three shares form.
+        for full in range(1, 7):
             for partial in (0, 1):
                 cfg = BASE._replace(trials=full * _CHUNK_TRIALS + partial)
                 blocks = full + partial
@@ -512,7 +544,7 @@ class TestValidation:
                         sizes.clear()
                         tasks.clear()
                         report = run_simulation(cfg, workers=workers)
-                        shares = min(workers, blocks, cpus)
+                        shares = max(1, min(workers, blocks // 2, cpus))
                         assert sizes == ([shares - 1] if shares > 1 else [])
                         assert tasks == [range(k, blocks, shares) for k in range(shares)]
                         assert sorted(b for share in tasks for b in share) == list(
@@ -531,7 +563,7 @@ class TestThreads:
             for n, effect, trials, seed in [
                 (2, 0.0, 3 * _CHUNK_TRIALS + 7, 11),
                 (10, 0.5, 4 * _CHUNK_TRIALS, 12),
-                (63, -0.3, 2 * _CHUNK_TRIALS + 1, 13),
+                (63, -0.3, 4 * _CHUNK_TRIALS + 1, 13),
                 (500, 0.2, 5 * _CHUNK_TRIALS - 3, 14),
             ]
         ]
