@@ -198,10 +198,6 @@ def _simulate_chunk(task: tuple) -> list[int]:
 
 
 def _available_cpus() -> int:
-    # os.process_cpu_count (Python 3.13+) honours PYTHON_CPU_COUNT and
-    # -X cpu_count, so a user can cap the shares on a crowded host.
-    if hasattr(os, "process_cpu_count"):
-        return os.process_cpu_count() or 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

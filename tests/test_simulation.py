@@ -229,9 +229,12 @@ class TestDeterminism:
             b.to_dict(), sort_keys=True
         )
 
-    def test_worker_count_is_invisible(self):
-        serial = run_simulation(BASE)
-        parallel = run_simulation(BASE, workers=2)
+    def test_worker_count_is_invisible(self, monkeypatch):
+        # Five blocks, so that workers=2 forms two shares on two CPUs.
+        monkeypatch.setattr(fivedecision.simulation, "_available_cpus", lambda: 2)
+        cfg = BASE._replace(trials=5 * _CHUNK_TRIALS)
+        serial = run_simulation(cfg)
+        parallel = run_simulation(cfg, workers=2)
         assert serial.counts == parallel.counts
         assert serial == parallel
 
@@ -489,19 +492,6 @@ class TestValidation:
         assert tasks == [range(0, 5, 2), range(1, 5, 2)]
         assert report == run_simulation(cfg, workers=1)
 
-    def test_cpus_from_process_cpu_count_where_it_exists(self, monkeypatch):
-        # Python 3.13+, where PYTHON_CPU_COUNT and -X cpu_count set it.
-        monkeypatch.setattr(os, "process_cpu_count", lambda: 3, raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert fivedecision.simulation._available_cpus() == 3
-        monkeypatch.setattr(os, "process_cpu_count", lambda: None)
-        assert fivedecision.simulation._available_cpus() == 1
-
-    def test_cpus_from_the_affinity_mask_before_python_3_13(self, monkeypatch):
-        monkeypatch.delattr(os, "process_cpu_count", raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        assert fivedecision.simulation._available_cpus() == 3
-
     def test_one_worker_runs_one_task_and_no_pool(self, inline_pool):
         sizes, tasks = inline_pool
         cfg = BASE._replace(trials=3 * _CHUNK_TRIALS + 7)
@@ -601,7 +591,8 @@ class TestThreads:
 
         monkeypatch.setattr(fivedecision.simulation, "decision_regions", counting_regions)
         monkeypatch.setattr(fivedecision.simulation, "_available_cpus", lambda: 64)
-        cfg = BASE._replace(trials=5 * _CHUNK_TRIALS)
+        # Ten blocks, so that workers=5 forms five shares.
+        cfg = BASE._replace(trials=10 * _CHUNK_TRIALS)
         run_simulation(cfg, workers=workers)
         assert calls == [(student_t(2 * cfg.n_per_group - 2), cfg.alpha)]
 
