@@ -276,11 +276,10 @@ def quantile(d: NullDistribution, p: float) -> float:
     as the negated mirror, so quantile(p) == -quantile(1 - p) exactly.
     """
     p = _check_probability(p, "p")
-    if p == 0.5:
-        return 0.0
-    if p < 0.5:
-        return -quantile(d, 1.0 - p)
-    return _upper_quantile(d, p)
+    # 1 - p rounds to 1/2 at p = 1/2 and at the float just below it.
+    upper = max(p, 1.0 - p)
+    q = _upper_quantile(d, upper) if upper > 0.5 else 0.0
+    return -q if p < 0.5 else q
 
 
 # Each decision_regions entry (512 of them) solves two quantiles, q(1 - a)
@@ -294,9 +293,10 @@ def _upper_quantile(d: NullDistribution, p: float) -> float:
     # Newton steps on ln tail against ln x, concave for both nulls: from any
     # positive start every step after the first lands at or above the root.
     target = 1.0 - p
-    x = math.sqrt(-2.0 * math.log(2.0 * target))
     if d.kind is Kind.STUDENT_T and d.df >= _CF_MIN_DF:
         x = _cornish_fisher(d.df, _upper_quantile(_NORMAL, p))
+    else:
+        x = math.sqrt(-2.0 * math.log(2.0 * target))
     for _ in range(_MAX_NEWTON):
         tail, slope = _upper_tail(d, x)
         if x == _MAX_FLOAT and tail > target:

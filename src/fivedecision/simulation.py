@@ -7,8 +7,8 @@ row of the merge table in decisions (home of `Procedure`) and tallied.
 The observations themselves are never drawn: with sigma = 1 the
 pooled t is a function of two independent sufficient statistics,
 
-    t = (effect * sqrt(n/2) + Z) / sqrt(V / (2n - 2)),
-    Z ~ N(0, 1),  V ~ chi^2(2n - 2) = 2 * Gamma(n - 1),
+    t = (effect * sqrt(n/2) + Z) / sqrt(G / (n - 1)),
+    Z ~ N(0, 1),  G ~ Gamma(n - 1) = chi^2(2n - 2) / 2,
 
 which is its exact sampling distribution, so a trial costs O(1) for
 any n.  Frequencies estimate the per-decision probabilities; the
@@ -17,9 +17,9 @@ effect, read off the same table.
 
 Reproducibility contract (`schema_version` 3): trials are grouped in
 fixed blocks of _CHUNK_TRIALS, and block b draws all its Z values, then
-all its V values, from its own SFC64 stream, keyed by
+all its G values, from its own SFC64 stream, keyed by
 `SeedSequence(seed, spawn_key=(b,))`: child b of `SeedSequence(seed)`.
-A trial's (Z, V) is therefore a pure function of seed and trial index,
+A trial's (Z, G) is therefore a pure function of seed and trial index,
 and integer tallies merge associatively, so any split of the blocks
 into shares, and so any worker count, yields identical reports.  The
 draws come from numpy's normal and gamma samplers, so a numpy release
@@ -131,8 +131,10 @@ class SimulationReport(
 
 
 def _draws(seed: int, blocks: range, trials: int, n_per_group: int):
-    """Yield the (Z, V) sufficient statistics of each stream block in
-    `blocks`, one view per block, of a run of `trials` trials.
+    """Yield the (Z, G) sufficient statistics of each stream block in
+    `blocks`, one view per block, of a run of `trials` trials: Z standard
+    normal and G ~ Gamma(n_per_group - 1), which callers divide by
+    n_per_group - 1.
 
     Block b holds trials [b*B, (b+1)*B) with B = _CHUNK_TRIALS, clipped
     at `trials`, so only the run's last block can be short; its SFC64
@@ -156,7 +158,6 @@ def _draws(seed: int, blocks: range, trials: int, n_per_group: int):
         # stream position however few of them are needed.
         gen.standard_normal(out=z)
         gen.standard_gamma(n_per_group - 1, out=v[:size])
-        v[:size] *= 2.0
         yield z[:size], v[:size]
 
 
@@ -182,7 +183,7 @@ def _simulate_chunk(task: tuple) -> list[int]:
         # numpy's error state is per thread, so it is set here.
         with np.errstate(over="ignore"):
             for t, s in _draws(cfg.seed, blocks, cfg.trials, n):
-                s /= 2 * n - 2
+                s /= n - 1
                 np.sqrt(s, out=s)
                 t += shift
                 t /= s

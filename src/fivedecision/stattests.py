@@ -17,8 +17,9 @@ import operator
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .distributions import NullDistribution, cdf, quantile, standard_normal, student_t
-from .distributions import _Checked, _check_finite, _check_int, _check_positive
+from .distributions import NullDistribution, quantile, student_t
+from .distributions import _NORMAL, _Checked, _check_finite, _check_int, _check_positive
+from .distributions import _upper_tail
 
 __all__ = [
     "DegenerateDataError",
@@ -64,25 +65,8 @@ def _result(estimate: float, se: float, theta0: float, null: NullDistribution) -
     t_stat = (estimate - theta0) / se
     if not math.isfinite(t_stat):
         raise ValueError(f"the test statistic overflows (estimate {estimate!r}, se {se!r})")
-    p = 2.0 * cdf(null, -abs(t_stat))
+    p = 2.0 * _upper_tail(null, abs(t_stat))[0]
     return TestResult(t_stat=t_stat, null=null, p_two_sided=p, estimate=estimate, se=se)
-
-
-def _pooled_t(
-    a: tuple[int, float, float], b: tuple[int, float, float], theta0: float
-) -> TestResult:
-    """Pooled t of group a minus group b, each given as (n, mean, sd)
-    with n >= 2."""
-    theta0 = _check_finite(theta0, "theta0")
-    (n_a, mean_a, sd_a), (n_b, mean_b, sd_b) = a, b
-    df = n_a + n_b - 2
-    pooled_var = ((n_a - 1) * (sd_a * sd_a) + (n_b - 1) * (sd_b * sd_b)) / df
-    if not math.isfinite(pooled_var):
-        raise ValueError("pooled variance overflows: the data spread is too large")
-    if pooled_var <= 0:
-        raise DegenerateDataError("no within-group variance in either group")
-    se = math.sqrt(pooled_var) * math.sqrt(1.0 / n_a + 1.0 / n_b)
-    return _result(mean_a - mean_b, se, theta0, student_t(df))
 
 
 def two_sample_t(a: GroupSummary, b: GroupSummary, theta0: float = 0.0) -> TestResult:
@@ -94,7 +78,16 @@ def two_sample_t(a: GroupSummary, b: GroupSummary, theta0: float = 0.0) -> TestR
     the familiar sqrt(n/2)*(mean_a-mean_b)/s form.  The null is
     Student t with n_a + n_b - 2 degrees of freedom.
     """
-    return _pooled_t(a, b, theta0)
+    theta0 = _check_finite(theta0, "theta0")
+    (n_a, mean_a, sd_a), (n_b, mean_b, sd_b) = a, b
+    df = n_a + n_b - 2
+    pooled_var = ((n_a - 1) * (sd_a * sd_a) + (n_b - 1) * (sd_b * sd_b)) / df
+    if not math.isfinite(pooled_var):
+        raise ValueError("pooled variance overflows: the data spread is too large")
+    if pooled_var <= 0:
+        raise DegenerateDataError("no within-group variance in either group")
+    se = math.sqrt(pooled_var) * math.sqrt(1.0 / n_a + 1.0 / n_b)
+    return _result(mean_a - mean_b, se, theta0, student_t(df))
 
 
 def two_sample_t_raw(
@@ -115,7 +108,7 @@ def two_sample_t_raw(
         if not all(map(math.isfinite, xs)):
             raise ValueError(f"{label} group contains non-finite values")
         summaries.append((len(xs), math.fsum(xs) / len(xs), _sample_sd(xs)))
-    return _pooled_t(summaries[0], summaries[1], theta0)
+    return two_sample_t(summaries[0], summaries[1], theta0)
 
 
 def _sample_sd(xs: list[float]) -> float:
@@ -147,15 +140,11 @@ def _sample_sd(xs: list[float]) -> float:
     total = sum(ms)
     num = n * sum(map(operator.mul, ms, ms)) - total * total
     den = n * (n - 1)
-    if k >= 0:
-        den <<= 2 * k
+    shift = (num.bit_length() - den.bit_length() - 2 * k - 109) // 2
+    if k + shift >= 0:
+        den <<= 2 * (k + shift)
     else:
-        num <<= -2 * k
-    shift = (num.bit_length() - den.bit_length() - 109) // 2
-    if shift >= 0:
-        den <<= 2 * shift
-    else:
-        num <<= -2 * shift
+        num <<= -2 * (k + shift)
     root = math.isqrt(num // den)
     root |= root * root * den != num
     # int / int rounds once, and past the float range raises OverflowError
@@ -168,7 +157,7 @@ def wald(estimate: float, se: float, theta0: float = 0.0) -> TestResult:
     estimate = _check_finite(estimate, "estimate")
     se = _check_positive(se, "se")
     theta0 = _check_finite(theta0, "theta0")
-    return _result(estimate, se, theta0, standard_normal())
+    return _result(estimate, se, theta0, _NORMAL)
 
 
 def confidence_interval(r: TestResult, level: float) -> tuple[float, float]:

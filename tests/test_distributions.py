@@ -234,6 +234,15 @@ class TestQuantile:
         assert quantile(student_t(3), 0.5) == 0.0
         assert quantile(standard_normal(), 0.5) == 0.0
 
+    @pytest.mark.parametrize(
+        "d", [standard_normal(), student_t(3), student_t(18)], ids=["normal", "t3", "t18"]
+    )
+    def test_p_whose_complement_rounds_to_one_half(self, d):
+        # Just below 1/2, 1 - p rounds to 1/2: the quantile is the
+        # median's mirror, -0.0, where a solve for 1/2 would not converge.
+        q = quantile(d, 0.5 - 2.0**-54)
+        assert q == 0.0 and math.copysign(1.0, q) == -1.0
+
     @pytest.mark.parametrize("df", ROUNDTRIP_DFS)
     def test_roundtrip_student(self, df):
         d = student_t(df)
@@ -557,6 +566,13 @@ class TestTailSlope:
 
     def test_underflowed_normal_tail(self):
         assert distributions._upper_tail(standard_normal(), 40.0) == (0.0, math.inf)
+
+
+def test_unconverged_continued_fraction_raises():
+    # Far from any (a, b, x) that the t tail reaches, 500 iterations do
+    # not settle, and the error names the arguments.
+    with pytest.raises(ArithmeticError, match=re.escape("(a=0.5, b=100000000.0, x=0.999)")):
+        distributions._betacf(0.5, 1e8, 0.999)
 
 
 class TestDensity:

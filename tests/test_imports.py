@@ -1,6 +1,7 @@
 """numpy and the thread pool load only when a simulation runs, no
 command loads multiprocessing, and statistics, fractions,
-importlib.resources and dataclasses never load.
+importlib.resources, dataclasses and the test-only dependencies never
+load.
 Each command loads only the modules it runs, and `import fivedecision`
 loads none.
 
@@ -209,6 +210,25 @@ def test_simulate_loads_simulation_and_numpy():
     assert SIMULATION_ONLY <= loaded
     assert "fivedecision.power" not in loaded
     assert "dataclasses" not in loaded
+
+
+# The -S probes put numpy's site directory on the path, and the test-only
+# dependencies install there too, so a stray import of one would load.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        DECIDE,
+        ["power", "--effect", "2.5"],
+        ["samplesize", "--power", "0.8", "--delta", "0.5", "--tau-sq", "2"],
+        ["table"],
+        ["regions"],
+        ["simulate", *SIM_ARGS],
+        ["simulate", *SIM_ARGS, "--workers", "2"],
+    ],
+    ids=["decide", "power", "samplesize", "table", "regions", "simulate", "simulate-pooled"],
+)
+def test_no_command_loads_a_test_dependency(argv):
+    assert _loads(*argv) & {"scipy", "mpmath", "hypothesis"} == set()
 
 
 def test_pooled_simulate_loads_no_process_machinery():

@@ -103,13 +103,13 @@ class TestSubstreams:
     def test_block_is_keyed_sfc64(self, size):
         # The stream definition, rebuilt independently: block b draws
         # from SFC64 keyed by child b of SeedSequence(seed), all B
-        # normals first, then 2 * Gamma(n - 1) for the block's trials.
+        # normals first, then Gamma(n - 1) for the block's trials.
         seed, block, n = 12345, 3, 9
         gen = np.random.Generator(
             np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,)))
         )
         z = gen.standard_normal(_CHUNK_TRIALS)[:size]
-        v = 2 * gen.standard_gamma(n - 1, size)
+        v = gen.standard_gamma(n - 1, size)
         assert _draws_equal(_trial_draws(seed, block * _CHUNK_TRIALS, size, n), (z, v))
 
     def test_seed_and_block_keys_do_not_alias(self):
@@ -144,7 +144,7 @@ class TestScalarAgreement:
         counts = {k: 0 for k in (1, 2, 3, 4, 5)}
         z, v = _trial_draws(cfg.seed, 0, cfg.trials, n)
         for z_i, v_i in zip(z.tolist(), v.tolist()):
-            t = (shift + z_i) / math.sqrt(v_i / (2 * n - 2))
+            t = (shift + z_i) / math.sqrt(v_i / (n - 1))
             counts[five_decision(t, null, cfg.alpha).index] += 1
         assert counts == report.counts
 
@@ -160,7 +160,7 @@ class TestScalarAgreement:
     def test_ties_at_the_boundaries_match_the_scalar_engines(
         self, monkeypatch, alpha, procedure, engine
     ):
-        # With V = 2n - 2 and no effect, t = Z exactly, so Z at each
+        # With G = n - 1 and no effect, t = Z exactly, so Z at each
         # boundary and one float step to either side probe the tie rule.
         n = 10
         null = student_t(2 * n - 2)
@@ -172,7 +172,7 @@ class TestScalarAgreement:
 
         def boundary_draws(seed, blocks, trials, n_per_group):
             assert list(blocks) == [0]
-            yield np.array(ts), np.full(trials, 2.0 * n_per_group - 2)
+            yield np.array(ts), np.full(trials, n_per_group - 1.0)
 
         monkeypatch.setattr(fivedecision.simulation, "_draws", boundary_draws)
         cfg = BASE._replace(n_per_group=n, alpha=alpha, trials=len(ts), procedure=procedure)
@@ -541,6 +541,14 @@ class TestValidation:
                             range(blocks)
                         )
                         assert report == serial
+
+    @pytest.mark.parametrize("count, expected", [(3, 3), (None, 1)])
+    def test_cpus_without_affinity(self, monkeypatch, count, expected):
+        # macOS and Windows have no sched_getaffinity: the count is
+        # os.cpu_count(), or 1 when that is unknown.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert fivedecision.simulation._available_cpus() == expected
 
 
 class TestThreads:
