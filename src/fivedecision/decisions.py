@@ -68,6 +68,8 @@ class Hypothesis(enum.Enum):
     H4 = "H4"
     H5 = "H5"
 
+    __hash__ = object.__hash__  # as distributions.Kind
+
     @property
     def comparator(self) -> str | None:
         """Relation this hypothesis asserts between theta and theta0."""
@@ -177,6 +179,8 @@ class Procedure(enum.Enum):
     FIVE_DECISION = "five-decision"
     KAISER = "kaiser"
     JONES_TUKEY = "jones-tukey"
+
+    __hash__ = object.__hash__  # as distributions.Kind
 
     @property
     def index_set(self) -> tuple[int, ...]:

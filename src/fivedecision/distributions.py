@@ -3,13 +3,16 @@
 CDF, quantile and density, free of dependencies.  One private function
 returns every tail probability P(T > t), t >= 0, to relative accuracy,
 with its log-slope t f(t) / P(T > t): from ``math.erfc`` for the normal,
-from a continued fraction for the incomplete beta function for Student t.
-A quantile for p > 1/2 solves tail(q) = 1 - p by Newton steps in ln q.
-Student t from df 4 on starts at the Cornish-Fisher expansion about the
-normal quantile, and takes 1-3 tail evaluations at alphas 0.005 to 0.1
-(1 from df 1e3 on); the normal and smaller df start at the Chernoff bound,
-and take 4-6 there.  Over df 1e-3 to 1e10 crossed with 70 tails a t solve
-takes a median of 1 and at most 21; one for p < 1/2 is its negated mirror.
+and for Student t from the incomplete beta function, as a hypergeometric
+series near the median and a continued fraction beyond it.
+A quantile for p > 1/2 solves tail(q) = 1 - p by Newton steps in ln q,
+and returns once Newton's own estimate of the error left after a step is
+below half a unit in the last place.  Student t from df 4 on starts at the
+Cornish-Fisher expansion about the normal quantile, and takes 1-3 tail
+evaluations at alphas 0.005 to 0.1 (at most 2 from df 8 on, 1 from df 70
+on); the normal and smaller df start at the Chernoff bound, and take 3-5
+there.  Over df 1e-3 to 1e10 crossed with 70 tails a t solve takes a
+median of 1 and at most 21; one for p < 1/2 is its negated mirror.
 It raises OverflowError when the quantile lies beyond the float range
 (Student t at small df) and ArithmeticError when it does not converge.
 Each solve is kept per (null, p) in a bounded cache, and Student t takes
@@ -53,8 +56,12 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LN_SQRT_PI = 0.5 * math.log(math.pi)  # lgamma(0.5)
 
-# Quantile solver: stop once a step moves x by less than this fraction.
+# Quantile solver: stop once a step moves x by less than this fraction, or
+# once a step in ln x is below _QUAD_STEP and |g''/g'| step^2, twice the
+# error Newton leaves after it, is at most _QUAD_TOL.
 _REL_TOL = 4e-12
+_QUAD_STEP = 1e-3
+_QUAD_TOL = 1e-16
 _MAX_NEWTON = 200
 _MAX_FLOAT = sys.float_info.max
 # Above 2**53 the Pfaff fraction's b = 1/2 - a no longer keeps the 1/2 in
@@ -62,6 +69,11 @@ _MAX_FLOAT = sys.float_info.max
 _MAX_DF = 2.0**53
 # Student t solves from this df on start at the Cornish-Fisher expansion.
 _CF_MIN_DF = 4.0
+# The t tail's complement form sums its hypergeometric series up to this
+# 1 - x and runs the continued fraction above it, where at df 4 to 8 the
+# series costs more than the fraction.
+_SERIES_MAX_XC = 0.2
+_MAX_TERMS = 100
 
 
 def _check_finite(x: float, name: str) -> float:
@@ -122,6 +134,11 @@ class _Checked:
 class Kind(enum.Enum):
     STANDARD_NORMAL = "StandardNormal"
     STUDENT_T = "StudentT"
+
+    # Members are singletons compared by identity, so the C-level identity
+    # hash agrees with ==, and each cache lookup keyed by a null skips
+    # Enum's Python-level __hash__.
+    __hash__ = object.__hash__
 
 
 class NullDistribution(_Checked, namedtuple("NullDistribution", "kind df")):
@@ -205,6 +222,30 @@ def _betacf(a: float, b: float, x: float) -> float:
     )
 
 
+def _series(a: float, x: float) -> float:
+    # 2F1(a + 1/2, 1; 3/2; x) = sum_k (a + 1/2)_k / (3/2)_k x^k, the value
+    # of _betacf(1/2, a, x) (DLMF 8.17.8), summed term by term; the t tail
+    # calls it for 0 <= x <= _SERIES_MAX_XC below the Pfaff switch, where it
+    # needs at most 44 terms.  Every term is positive, and the ratio of
+    # term k + 1 to term k, (a + 1/2 + k)/(3/2 + k) x, moves monotonically
+    # toward x < 1.  While the terms rise each is at least the mean of
+    # those before it, so one below 1e-17 of the sum comes after they
+    # started to fall.  The ratios then stay below r = max(next ratio, x)
+    # < 1 (at most 0.29 where the tail calls it), and the rest of the sum
+    # is below that term times r/(1 - r).  _MAX_TERMS is a hard safety stop.
+    n = a + 0.5
+    d = 1.5
+    s = term = 1.0
+    for _ in range(_MAX_TERMS):
+        term *= x * n / d
+        s += term
+        if term < 1e-17 * s:
+            return s
+        n += 1.0
+        d += 1.0
+    raise ArithmeticError(f"hypergeometric series did not converge (a={a}, x={x})")
+
+
 def _beta_logs(t: float, df: float) -> tuple[float, float]:
     # ln x and ln(1 - x) for x = df/(df + t^2) = 1/(1 + u^2), u = |t|/sqrt(df),
     # formed from u so that nothing overflows; ln(1 - x) is -inf at u = 0.
@@ -221,11 +262,12 @@ def _upper_tail(d: NullDistribution, t: float) -> tuple[float, float]:
     # P(T > t) for t >= 0, to relative accuracy, and the log-slope
     # t * f(t) / P(T > t) (+inf where the tail underflows).  For Student t
     # the tail is 0.5 * I_x(a, 1/2), a = df/2, and t * f(t) is `front`.
-    # Near the median I_x is 1 - I_{1-x}(1/2, a), whose fraction converges
-    # fast there but loses digits as the tail shrinks; so from three times
-    # the textbook switch point 1 - x = (b + 1)/(a + b + 2) (tails < ~1e-3),
-    # or from 1 - x = 1/2, I_x is read from its Pfaff transform in -x/(1 - x),
-    # whose terms are all positive, and the slope is not divided by the tail.
+    # Near the median I_x is 1 - I_{1-x}(1/2, a), which loses digits as the
+    # tail shrinks; its 2F1 is summed as a series up to 1 - x = 0.2 and read
+    # from the continued fraction above.  From three times the textbook
+    # switch point 1 - x = (b + 1)/(a + b + 2) (tails < ~1e-3), or from
+    # 1 - x = 1/2, I_x is read from its Pfaff transform in -x/(1 - x), whose
+    # terms are all positive, and the slope is not divided by the tail.
     if d.kind is Kind.STANDARD_NORMAL:
         tail = 0.5 * math.erfc(t / _SQRT2)
         return tail, (t * _INV_SQRT_2PI * math.exp(-0.5 * t * t) / tail if tail else math.inf)
@@ -236,7 +278,8 @@ def _upper_tail(d: NullDistribution, t: float) -> tuple[float, float]:
     if xc >= 0.5 or xc * (a + b + 2.0) >= 3.0 * (b + 1.0):
         cf = _betacf(a, 1.0 - b - a, -math.exp(ln_x - ln_xc))
         return 0.5 * front * cf / (a * xc), 2.0 * a * xc / cf
-    tail = 0.5 * (1.0 - front * _betacf(b, a, xc) / b)
+    hyp = _series(a, xc) if xc <= _SERIES_MAX_XC else _betacf(b, a, xc)
+    tail = 0.5 * (1.0 - front * hyp / b)
     return tail, front / tail
 
 
@@ -307,5 +350,14 @@ def _upper_quantile(d: NullDistribution, p: float) -> float:
         nxt = min(x * math.exp(min(step, 709.0)), _MAX_FLOAT)  # exp(709) is finite
         if abs(nxt - x) <= _REL_TOL * x:
             return nxt
+        if abs(step) < _QUAD_STEP:
+            # With g(y) = ln tail(e^y), Newton leaves an error of about
+            # (1/2) |g''/g'| step^2, and g''/g' = 1 + slope + x f'(x)/f(x).
+            if d.kind is Kind.STUDENT_T:
+                log_f_slope = -(d.df + 1.0) / (1.0 + d.df / x / x)
+            else:
+                log_f_slope = -x * x
+            if abs(1.0 + slope + log_f_slope) * step * step <= _QUAD_TOL:
+                return nxt
         x = nxt
     raise ArithmeticError(f"quantile at p={p!r} did not converge in {_MAX_NEWTON} steps")
