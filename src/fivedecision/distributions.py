@@ -4,7 +4,8 @@ CDF, quantile and density, free of dependencies.  One private function
 returns every tail probability P(T > t), t >= 0, to relative accuracy,
 with its log-slope t f(t) / P(T > t): from ``math.erfc`` for the normal,
 and for Student t from the incomplete beta function, as a hypergeometric
-series near the median and a continued fraction beyond it.
+series near the median and the continued fraction of its Pfaff transform
+beyond the switch between them.
 A quantile for p > 1/2 solves tail(q) = 1 - p by Newton steps in ln q,
 and returns once Newton's own estimate of the error left after a step is
 below half a unit in the last place.  Student t from df 4 on starts at the
@@ -56,23 +57,18 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LN_SQRT_PI = 0.5 * math.log(math.pi)  # lgamma(0.5)
 
-# Quantile solver: stop once a step moves x by less than this fraction, or
-# once a step in ln x is below _QUAD_STEP and |g''/g'| step^2, twice the
-# error Newton leaves after it, is at most _QUAD_TOL.
-_REL_TOL = 4e-12
+# Quantile solver: stop once a step in ln x is below _QUAD_STEP and
+# |g''/g'| step^2, twice the error Newton leaves after it, is at most
+# _QUAD_TOL.
 _QUAD_STEP = 1e-3
 _QUAD_TOL = 1e-16
 _MAX_NEWTON = 200
 _MAX_FLOAT = sys.float_info.max
-# Above 2**53 the Pfaff fraction's b = 1/2 - a no longer keeps the 1/2 in
-# a + b, and the t tail goes wrong by up to 9.4%.
+# Every integer df is exact up to 2**53.  The t tail holds far above it,
+# but at df 1e308 the Pfaff fraction's m (b - m) overflows and it is nan.
 _MAX_DF = 2.0**53
 # Student t solves from this df on start at the Cornish-Fisher expansion.
 _CF_MIN_DF = 4.0
-# The t tail's complement form sums its hypergeometric series up to this
-# 1 - x and runs the continued fraction above it, where at df 4 to 8 the
-# series costs more than the fraction.
-_SERIES_MAX_XC = 0.2
 _MAX_TERMS = 100
 
 
@@ -184,55 +180,51 @@ def _lgamma_half_shift(a: float) -> float:
     return d
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    # Continued fraction of I_x(a, b), i.e. of 2F1(a + b, 1; a + 1; x),
-    # by modified Lentz.  Converges in a few dozen iterations for the
-    # (a, b, x) reachable from the t tail, including its Pfaff form with
-    # b = 1/2 - a and x < 0; 500 is a hard safety stop.
+def _fraction(a: float, x: float) -> float:
+    # Continued fraction of I_x(a, b), i.e. of 2F1(a + b, 1; a + 1; x), by
+    # modified Lentz, for the one family the t tail's Pfaff form passes:
+    # b = 1/2 - a, so a + b = 1/2, with a > 0 and x < 0.  Every partial
+    # numerator is then positive: m (b - m) x / ((a - 1 + 2m)(a + 2m)) has
+    # b - m < 0, x < 0 and a - 1 + 2m > 0, and the odd one is minus
+    # (a + m)(1/2 + m) x over positive factors.  So c = 1 + aa/c stays >= 1,
+    # d = 1/(1 + aa d) stays in (0, 1] from d = 1/(1 - x/(2(a + 1))), and
+    # no divisor comes near 0, so Lentz's guards against one are left out.
+    # It converges in a few dozen iterations where the tail calls it; 500
+    # is a hard safety stop.
     maxit = 500
     eps = 1e-15
-    tiny = 1e-300
-    qab = a + b
+    b = 0.5 - a
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+    d = 1.0 / (1.0 - 0.5 * x / qap)
     h = d
     for m in range(1, maxit + 1):
         m2 = 2 * m
         even = m * (b - m) / (qam + m2) * (x / (a + m2))
-        odd = -(a + m) / (a + m2) * ((qab + m) / (qap + m2)) * x
+        odd = -(a + m) / (a + m2) * ((0.5 + m) / (qap + m2)) * x
         for aa in (even, odd):
-            d = 1.0 + aa * d
-            if abs(d) < tiny:
-                d = tiny
+            d = 1.0 / (1.0 + aa * d)
             c = 1.0 + aa / c
-            if abs(c) < tiny:
-                c = tiny
-            d = 1.0 / d
             delta = d * c
             h *= delta
         if abs(delta - 1.0) < eps:
             return h
-    raise ArithmeticError(
-        f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})"
-    )
+    raise ArithmeticError(f"Pfaff continued fraction did not converge (a={a}, x={x})")
 
 
 def _series(a: float, x: float) -> float:
-    # 2F1(a + 1/2, 1; 3/2; x) = sum_k (a + 1/2)_k / (3/2)_k x^k, the value
-    # of _betacf(1/2, a, x) (DLMF 8.17.8), summed term by term; the t tail
-    # calls it for 0 <= x <= _SERIES_MAX_XC below the Pfaff switch, where it
-    # needs at most 44 terms.  Every term is positive, and the ratio of
-    # term k + 1 to term k, (a + 1/2 + k)/(3/2 + k) x, moves monotonically
-    # toward x < 1.  While the terms rise each is at least the mean of
-    # those before it, so one below 1e-17 of the sum comes after they
-    # started to fall.  The ratios then stay below r = max(next ratio, x)
-    # < 1 (at most 0.29 where the tail calls it), and the rest of the sum
-    # is below that term times r/(1 - r).  _MAX_TERMS is a hard safety stop.
+    # 2F1(a + 1/2, 1; 3/2; x) = sum_k (a + 1/2)_k / (3/2)_k x^k, the
+    # hypergeometric factor of I_x(1/2, a) (DLMF 8.17.8), summed term by
+    # term; the t tail calls it for 0 <= x < 1/2 below the Pfaff switch,
+    # where it needs at most 77 terms (df ~13 with x -> 1/2).  Every term is
+    # positive, and the ratio of term k + 1 to term k, (a + 1/2 + k)/(3/2 +
+    # k) x, moves monotonically toward x < 1.  While the terms rise each is
+    # at least the mean of those before it, so one below 1e-17 of the sum
+    # comes after they started to fall.  The ratios then stay below r =
+    # max(next ratio, x) < 1 (at most 0.54 where the tail calls it), and the
+    # rest of the sum is below that term times r/(1 - r) <= 1.2.  _MAX_TERMS
+    # is a hard safety stop.
     n = a + 0.5
     d = 1.5
     s = term = 1.0
@@ -263,11 +255,11 @@ def _upper_tail(d: NullDistribution, t: float) -> tuple[float, float]:
     # t * f(t) / P(T > t) (+inf where the tail underflows).  For Student t
     # the tail is 0.5 * I_x(a, 1/2), a = df/2, and t * f(t) is `front`.
     # Near the median I_x is 1 - I_{1-x}(1/2, a), which loses digits as the
-    # tail shrinks; its 2F1 is summed as a series up to 1 - x = 0.2 and read
-    # from the continued fraction above.  From three times the textbook
-    # switch point 1 - x = (b + 1)/(a + b + 2) (tails < ~1e-3), or from
-    # 1 - x = 1/2, I_x is read from its Pfaff transform in -x/(1 - x), whose
-    # terms are all positive, and the slope is not divided by the tail.
+    # tail shrinks, and its 2F1 is summed as a series.  From three times the
+    # textbook switch point 1 - x = (b + 1)/(a + b + 2) (tails < ~1e-3), or
+    # from 1 - x = 1/2, I_x is read from the continued fraction of its Pfaff
+    # transform in -x/(1 - x), whose terms are all positive, and the slope
+    # is not divided by the tail.
     if d.kind is Kind.STANDARD_NORMAL:
         tail = 0.5 * math.erfc(t / _SQRT2)
         return tail, (t * _INV_SQRT_2PI * math.exp(-0.5 * t * t) / tail if tail else math.inf)
@@ -276,10 +268,9 @@ def _upper_tail(d: NullDistribution, t: float) -> tuple[float, float]:
     front = math.exp(_lgamma_half_shift(a) - _LN_SQRT_PI + a * ln_x + b * ln_xc)
     xc = math.exp(ln_xc)
     if xc >= 0.5 or xc * (a + b + 2.0) >= 3.0 * (b + 1.0):
-        cf = _betacf(a, 1.0 - b - a, -math.exp(ln_x - ln_xc))
+        cf = _fraction(a, -math.exp(ln_x - ln_xc))
         return 0.5 * front * cf / (a * xc), 2.0 * a * xc / cf
-    hyp = _series(a, xc) if xc <= _SERIES_MAX_XC else _betacf(b, a, xc)
-    tail = 0.5 * (1.0 - front * hyp / b)
+    tail = 0.5 * (1.0 - front * _series(a, xc) / b)
     return tail, front / tail
 
 
@@ -348,8 +339,6 @@ def _upper_quantile(d: NullDistribution, p: float) -> float:
             raise ArithmeticError(f"quantile at p={p!r} did not converge: the tail is flat at {x!r}")
         step = math.log1p((tail - target) / target) / slope
         nxt = min(x * math.exp(min(step, 709.0)), _MAX_FLOAT)  # exp(709) is finite
-        if abs(nxt - x) <= _REL_TOL * x:
-            return nxt
         if abs(step) < _QUAD_STEP:
             # With g(y) = ln tail(e^y), Newton leaves an error of about
             # (1/2) |g''/g'| step^2, and g''/g' = 1 + slope + x f'(x)/f(x).

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from fivedecision.cli import build_parser, main
@@ -101,6 +102,26 @@ class TestDecideSummary:
         code, out, err = run_cli(capsys, "decide", "--summary", f"{n},1,1,{n},2,1")
         assert (code, out) == (2, "")
         assert "df <= 2**53" in err
+
+    @pytest.mark.parametrize(
+        "summary, ref",
+        [
+            # df 38, 1 - x = 0.11, and df 18, 1 - x = 0.26: both read the t
+            # tail's hypergeometric series.  The CI workflow's installed
+            # console script checks the same two literals.
+            ("20,10.5,2.1,20,12.0,2.3", 0.037656758226053124),
+            ("10,0,1,10,1.118,1", 0.02231154467952409),
+        ],
+    )
+    def test_series_p_value_matches_mpmath(self, capsys, summary, ref):
+        code, out, _ = run_cli(capsys, "decide", "--summary", summary, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        with mpmath.workdps(40):
+            df, t = mpmath.mpf(payload["df"]), mpmath.mpf(payload["t_stat"])
+            exact = mpmath.betainc(df / 2, 0.5, 0, df / (df + t * t), regularized=True)
+        assert ref == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+        assert payload["p_two_sided"] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestDecideCsv:

@@ -62,9 +62,9 @@ def cold_quantile_cache():
 
 class TestConstruction:
     def test_student_requires_positive_df(self):
-        # One message for every df outside (0, 2**53].  Beyond 2**53 the
-        # Pfaff fraction loses the 1/2 in a + b: at 2**53 + 2 the tail at
-        # t = 3.5 was 6.4% off, at 1e308 it was nan.
+        # One message for every df outside (0, 2**53], up to which every
+        # integer df is exact.  At 1e308 the Pfaff fraction's m (b - m)
+        # overflows and the tail would be nan.
         for df in (0.0, -1.0, math.nan, math.inf, 2.0**53 + 2, 1e17, 1e308):
             with pytest.raises(ValueError, match=re.escape(f"StudentT requires 0 < df <= 2**53, got {df!r}")):
                 student_t(df)
@@ -211,6 +211,13 @@ def _mpmath_relative_error(d, p, q):
             tail = mpmath.betainc(df / 2, 0.5, 0, df / (df + q * q), regularized=True) / 2
             pdf = (1 + q * q / df) ** (-df / 2 - 0.5) / (mpmath.sqrt(df) * mpmath.beta(df / 2, 0.5))
         return float((tail - (1.0 - p)) / (q * pdf))
+
+
+def _mpmath_t_tail(df, t):
+    # P(T > t) = I_x(df/2, 1/2) / 2 at x = df/(df + t^2), to 40 digits.
+    with mpmath.workdps(40):
+        x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
+        return float(mpmath.betainc(mpmath.mpf(df) / 2, 0.5, 0, x, regularized=True) / 2)
 
 
 class TestQuantile:
@@ -565,10 +572,7 @@ class TestLgammaHalfShift:
     def test_tail_below_the_pfaff_switch(self, df, t):
         # Tails near 1.5e-3, read from the complement form; a direct
         # lgamma difference in the prefactor puts them up to 7e-11 off.
-        with mpmath.workdps(40):
-            x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
-            ref = float(mpmath.betainc(df / 2, 0.5, 0, x, regularized=True) / 2)
-        assert cdf(student_t(df), -t) == pytest.approx(ref, rel=1e-11, abs=0.0)
+        assert cdf(student_t(df), -t) == pytest.approx(_mpmath_t_tail(df, t), rel=1e-11, abs=0.0)
 
 
 class TestTailSlope:
@@ -598,17 +602,17 @@ class TestTailSlope:
 
 
 class TestSeries:
-    # Below 1 - x = _SERIES_MAX_XC the complement form sums 2F1(a + 1/2, 1;
-    # 3/2; 1 - x) term by term in place of the continued fraction.
+    # Below the Pfaff switch the complement form sums 2F1(a + 1/2, 1; 3/2;
+    # 1 - x) term by term.
 
     def test_matches_mpmath(self):
-        # 45 log-spaced df from 0.01 to 1e9 by 1 - x up to the cut, and
-        # below the Pfaff switch, where large df leaves the complement form.
+        # 45 log-spaced df from 0.01 to 1e9 by 1 - x up to the Pfaff switch,
+        # where large df leaves the complement form.
         with mpmath.workdps(30):
             for df in np.logspace(-2, 9, 45):
                 a = float(df) / 2
-                switch = 4.5 / (a + 2.5)
-                for x in np.linspace(0.0, min(distributions._SERIES_MAX_XC, switch), 12)[1:]:
+                switch = min(0.5, 4.5 / (a + 2.5))
+                for x in np.linspace(0.0, switch, 12)[1:]:
                     x = min(float(x), math.nextafter(switch, 0.0))
                     ref = mpmath.hyp2f1(a + 0.5, 1, 1.5, x)
                     assert distributions._series(a, x) == pytest.approx(float(ref), rel=2e-15, abs=0.0)
@@ -621,28 +625,37 @@ class TestSeries:
 
     @pytest.mark.parametrize("df", [0.05, 1, 4, 8, 12, 30, 100, 196.3, 1000])
     def test_tail_on_both_sides_of_each_switch(self, df):
-        # Tails at 1 - x a millionth below and above the series cut and the
-        # Pfaff switch.  The complement form's error grows toward the Pfaff
-        # switch, to 3.4e-12 at worst on README's grids (ROADMAP item 6).
+        # Tails at 1 - x a millionth below and above the Pfaff switch, where
+        # the complement form's error is largest.
         a = df / 2
         switch = min(0.5, 4.5 / (a + 2.5))
-        cuts = [(switch, 5e-12)]
-        if distributions._SERIES_MAX_XC < switch:
-            cuts.append((distributions._SERIES_MAX_XC, 1e-12))
-        for cut, rel in cuts:
-            for xc in (cut * (1.0 - 1e-6), cut * (1.0 + 1e-6)):
-                t = math.sqrt(df * xc / (1.0 - xc))
-                with mpmath.workdps(40):
-                    x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
-                    ref = float(mpmath.betainc(a, 0.5, 0, x, regularized=True) / 2)
-                assert distributions._upper_tail(student_t(df), t)[0] == pytest.approx(ref, rel=rel, abs=0.0)
+        for xc in (switch * (1.0 - 1e-6), switch * (1.0 + 1e-6)):
+            t = math.sqrt(df * xc / (1.0 - xc))
+            ref = _mpmath_t_tail(df, t)
+            assert distributions._upper_tail(student_t(df), t)[0] == pytest.approx(ref, rel=5e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "df, t, rel",
+        [
+            (13.5, 3.55, 2.6e-12),
+            (30.0, 3.2, 2.6e-12),
+            (34.30469286314919, 3.172943779132195, 2.6e-12),
+            (486.0, 2.965, 1.3e-12),
+            (739.0722033525775, 2.97767369372533, 1.3e-12),
+        ],
+    )
+    def test_readme_worst_points(self, df, t, rel):
+        # The worst points README names for its two 100 x 100 grids (df 1 to
+        # 100 and 100 to 1000 by tails 1e-4 to 3e-2), at its bounds for them.
+        ref = _mpmath_t_tail(df, t)
+        assert distributions._upper_tail(student_t(df), t)[0] == pytest.approx(ref, rel=rel, abs=0.0)
 
 
 def test_unconverged_continued_fraction_raises():
-    # Far from any (a, b, x) that the t tail reaches, 500 iterations do
-    # not settle, and the error names the arguments.
-    with pytest.raises(ArithmeticError, match=re.escape("(a=0.5, b=100000000.0, x=0.999)")):
-        distributions._betacf(0.5, 1e8, 0.999)
+    # Far from any x that the t tail reaches, 500 iterations do not
+    # settle, and the error names the arguments.
+    with pytest.raises(ArithmeticError, match=re.escape("(a=0.5, x=-1000000000000.0)")):
+        distributions._fraction(0.5, -1e12)
 
 
 class TestDensity:
