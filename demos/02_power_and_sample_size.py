@@ -16,6 +16,7 @@ from fivedecision import (
     SampleSizeInputs,
     as_whole_percent,
     power_wald,
+    reduction,
     reduction_table,
     sample_size,
 )
@@ -34,7 +35,7 @@ non_strict = sample_size(plan, strict=False)
 strict = sample_size(plan, strict=True)
 print(f"\nnon-strict (reject H5): n = {non_strict.n} (exact {non_strict.n_exact:.2f})")
 print(f"strict     (reject H4): n = {strict.n} (exact {strict.n_exact:.2f})")
-saved = 1.0 - strict.n_exact / non_strict.n_exact
+saved = reduction(plan.alpha, plan.psi)
 print(f"settling for the strict claim saves {saved:.0%} of the sample")
 
 # The saving depends only on alpha and the target power.  Whole-percent

@@ -48,7 +48,6 @@ _SOURCES = {
     "SimulationConfig": "simulation",
     "SimulationReport": "simulation",
     "run_simulation": "simulation",
-    "wrong_rejection_grid": "simulation",
     "DegenerateDataError": "stattests",
     "GroupSummary": "stattests",
     "TestResult": "stattests",

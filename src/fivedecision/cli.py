@@ -243,8 +243,9 @@ def cmd_decide(args: argparse.Namespace) -> tuple[dict, list, list]:
 def cmd_power(args: argparse.Namespace) -> tuple[dict, list, list]:
     from .power import PowerSpec, power_wald
 
-    # Caught whatever the warning filters say, so that a chosen target
-    # that holds at the effect gives one line on stderr and the report.
+    # power_wald warns when a chosen target holds at the effect.  That
+    # warning is caught whatever the warning filters say, so that it
+    # gives one line on stderr and the report.
     # Reporting all four sides includes hypotheses that hold by design,
     # so that advisory is dropped.
     with warnings.catch_warnings(record=True) as caught:

@@ -145,8 +145,10 @@ class NullDistribution(_Checked, namedtuple("NullDistribution", "kind df")):
 
     def __new__(cls, kind: Kind, df: float | None = None):
         if kind is Kind.STUDENT_T:
-            if df is None or not 0.0 < df <= _MAX_DF:
+            if df is None or not 0.0 < (df := float(df)) <= _MAX_DF:
                 raise ValueError(f"StudentT requires 0 < df <= 2**53, got {df!r}")
+        elif not isinstance(kind, Kind):
+            raise ValueError(f"unknown kind {kind!r}")
         elif df is not None:
             raise ValueError("df is only meaningful for StudentT")
         return super().__new__(cls, kind, df)
@@ -157,7 +159,7 @@ def standard_normal() -> NullDistribution:
 
 
 def student_t(df: float) -> NullDistribution:
-    return NullDistribution(Kind.STUDENT_T, float(df))
+    return NullDistribution(Kind.STUDENT_T, df)
 
 
 _NORMAL = standard_normal()

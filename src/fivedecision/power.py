@@ -15,7 +15,6 @@ assume SE(theta_hat) = tau/sqrt(n).
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from collections import namedtuple
 from collections.abc import Sequence
@@ -41,24 +40,12 @@ DEFAULT_TABLE_ALPHAS = (0.05, 0.01, 0.005, 0.001)
 DEFAULT_TABLE_PSIS = (0.50, 0.80, 0.90, 0.95, 0.99)
 
 
-def _warn_at_caller(message: str) -> None:
-    # Name the first frame outside this module, collections and the
-    # module of _Checked, so that a spec built by _make or _replace
-    # warns at the line that built it, as a direct call does.
-    skipped = (__name__, "collections", _Checked.__module__)
-    frame, level = sys._getframe(1), 2
-    while frame.f_globals.get("__name__") in skipped:
-        frame, level = frame.f_back, level + 1
-    warnings.warn(message, stacklevel=level)
-
-
 class PowerSpec(_Checked, namedtuple("PowerSpec", "alpha effect target")):
     """Which rejection to aim for, at which level, at which effect.
 
     The effect is standardized: (theta - theta0)/SE(theta_hat).
-    Rejecting a target that holds at the effect is a wrong rejection
-    (H1 and H5 both hold at effect 0); its power is suspicious as a
-    goal but still well defined, so it warns instead of raising.
+    A target that holds at the effect is accepted here; power_wald
+    warns about it.
     """
 
     __slots__ = ()
@@ -68,9 +55,6 @@ class PowerSpec(_Checked, namedtuple("PowerSpec", "alpha effect target")):
         effect = _check_finite(effect, "effect")
         if target not in _TARGETS:
             raise ValueError(f"target must be one of H1, H2, H4, H5, got {target}")
-        if _holds(target, effect):
-            msg = f"rejecting {target.value} is a wrong rejection at effect {effect}"
-            _warn_at_caller(f"{msg}: theta {target.comparator} theta0 holds there")
         return super().__new__(cls, alpha, effect, target)
 
 
@@ -96,7 +80,15 @@ class SampleSizeResult(namedtuple("SampleSizeResult", "n_exact n")):
 
 
 def power_wald(spec: PowerSpec) -> float:
-    """Probability of the targeted rejection at the given effect."""
+    """Probability of the targeted rejection at the given effect.
+
+    Rejecting a target that holds at the effect is a wrong rejection
+    (H1 and H5 both hold at effect 0); its power is suspicious as a
+    goal but still well defined, so it warns instead of raising.
+    """
+    if _holds(spec.target, spec.effect):
+        msg = f"rejecting {spec.target.value} is a wrong rejection at effect {spec.effect}"
+        warnings.warn(f"{msg}: theta {spec.target.comparator} theta0 holds there", stacklevel=2)
     q1, q2, _, _ = decision_regions(_NORMAL, spec.alpha).boundaries
     z = q1 if spec.target in (Hypothesis.H1, Hypothesis.H5) else q2
     if spec.target in (Hypothesis.H1, Hypothesis.H2):

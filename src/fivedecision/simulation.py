@@ -37,7 +37,6 @@ import math
 import os
 import threading
 from collections import namedtuple
-from collections.abc import Sequence
 
 from .decisions import Procedure, decision_regions
 from .decisions import _MERGE, _TIES_UP, _wrong_indices
@@ -48,7 +47,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationReport",
     "run_simulation",
-    "wrong_rejection_grid",
 ]
 
 # Trials per random-stream block, and shares are sets of whole blocks;
@@ -274,18 +272,3 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
         wrong_rejection_mc_se=wrong_se,
         seed=cfg.seed,
     )
-
-
-def wrong_rejection_grid(
-    effects: Sequence[float], cfg_template: SimulationConfig, workers: int = 1
-) -> list[tuple[float, float, float]]:
-    """Wrong-rejection rate at each effect, holding everything else
-    (including the seed) fixed.  Returns (effect, rate, mc_se) rows."""
-    rows = []
-    for effect in effects:
-        cfg = cfg_template._replace(mean_diff_over_sigma=float(effect))
-        report = run_simulation(cfg, workers=workers)
-        rows.append(
-            (float(effect), report.wrong_rejection_rate, report.wrong_rejection_mc_se)
-        )
-    return rows

@@ -287,7 +287,7 @@ class TestWrongSide:
         wrong = region[target] in _wrong_indices(Procedure.FIVE_DECISION, effect)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            PowerSpec(0.05, effect, target)
+            power_wald(PowerSpec(0.05, effect, target))
         assert len(caught) == wrong
         if wrong:
             assert str(caught[0].message) == (
@@ -361,7 +361,7 @@ class TestBoundariesSolvedOnce:
         solves.clear()
         five_decision_via_ci(CHICK, 0.0, 0.05)
         assert main(["decide", "--summary", "10,205.6,65.2,10,258.9,70.3"]) == 0
-        # H1 and H5 hold at effect 0, so their specs warn.
+        # H1 and H5 hold at effect 0, so power_wald warns for them.
         with pytest.warns(UserWarning, match="wrong rejection at effect 0.0"):
             for target in (Hypothesis.H1, Hypothesis.H2, Hypothesis.H4, Hypothesis.H5):
                 power_wald(PowerSpec(0.05, 0.0, target))

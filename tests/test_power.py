@@ -69,8 +69,8 @@ class TestPowerWald:
         )
         # H5 holds at effect 0, so aiming to reject it warns.
         with pytest.warns(UserWarning, match="rejecting H5 is a wrong rejection"):
-            spec = PowerSpec(0.05, 0.0, Hypothesis.H5)
-        assert power_wald(spec) == pytest.approx(0.025, abs=1e-12)
+            psi = power_wald(PowerSpec(0.05, 0.0, Hypothesis.H5))
+        assert psi == pytest.approx(0.025, abs=1e-12)
 
     def test_scipy_cross_check(self):
         rng = np.random.default_rng(31)
@@ -94,7 +94,7 @@ class TestPowerWald:
             assert psi2 >= psi1
 
     def test_monotone_in_effect(self):
-        # The grid starts at effect 0, where H5 holds and the spec warns.
+        # The grid starts at effect 0, where H5 holds and power_wald warns.
         with pytest.warns(UserWarning, match="rejecting H5 is a wrong rejection at effect 0.0"):
             values = [
                 power_wald(PowerSpec(0.05, e, Hypothesis.H5))
@@ -104,19 +104,26 @@ class TestPowerWald:
 
     def test_sign_mismatch_warns(self):
         with pytest.warns(UserWarning):
-            PowerSpec(0.05, -1.0, Hypothesis.H5)
+            power_wald(PowerSpec(0.05, -1.0, Hypothesis.H5))
         with pytest.warns(UserWarning):
-            PowerSpec(0.05, 1.0, Hypothesis.H2)
+            power_wald(PowerSpec(0.05, 1.0, Hypothesis.H2))
 
-    def test_sign_mismatch_warning_names_the_caller(self):
-        with pytest.warns(UserWarning) as caught:
-            PowerSpec(0.05, -1.0, Hypothesis.H4)
-            PowerSpec._make([0.05, -1.0, Hypothesis.H4])
-            PowerSpec(0.05, 1.0, Hypothesis.H4)._replace(effect=-1.0)
-        assert [w.filename for w in caught] == [__file__] * 3
+    def test_sign_mismatch_warning_names_the_caller(self, recwarn):
+        # Building a spec that targets a holding hypothesis warns nothing,
+        # however it is built; power_wald on it warns at this file.
+        specs = [
+            PowerSpec(0.05, -1.0, Hypothesis.H4),
+            PowerSpec._make([0.05, -1.0, Hypothesis.H4]),
+            PowerSpec(0.05, 1.0, Hypothesis.H4)._replace(effect=-1.0),
+        ]
+        assert len(recwarn) == 0
+        for spec in specs:
+            with pytest.warns(UserWarning) as caught:
+                power_wald(spec)
+            assert [w.filename for w in caught] == [__file__]
 
     def test_zero_effect_does_not_warn(self, recwarn):
-        PowerSpec(0.05, 0.0, Hypothesis.H4)
+        power_wald(PowerSpec(0.05, 0.0, Hypothesis.H4))
         assert len(recwarn) == 0
 
     def test_domain_errors(self):

@@ -30,6 +30,26 @@ CHECKED = {
         {"df": 0.0},
         "StudentT requires 0 < df <= 2**53, got 0.0",
     ),
+    "NullDistribution-no-df": (
+        NullDistribution,
+        {"df": None},
+        "StudentT requires 0 < df <= 2**53, got None",
+    ),
+    "NullDistribution-normal-with-df": (
+        NullDistribution,
+        {"kind": Kind.STANDARD_NORMAL},
+        "df is only meaningful for StudentT",
+    ),
+    "NullDistribution-kind-string": (
+        NullDistribution,
+        {"kind": "StudentT"},
+        "unknown kind 'StudentT'",
+    ),
+    "NullDistribution-kind-unknown": (
+        NullDistribution,
+        {"kind": "x", "df": None},
+        "unknown kind 'x'",
+    ),
     "GroupSummary": (
         GroupSummary,
         {"n": 1},
@@ -108,6 +128,13 @@ def test_defaults():
     assert NullDistribution(Kind.STANDARD_NORMAL).df is None
     cfg = SimulationConfig(10, 0.0, 0.05, 100, 1)
     assert cfg.procedure is Procedure.FIVE_DECISION
+
+
+@pytest.mark.parametrize("df", [18, "18", np.int64(18), np.float32(18.0)], ids=repr)
+def test_df_is_stored_as_float(df):
+    assert NullDistribution(Kind.STUDENT_T, df) == student_t(df) == student_t(18.0)
+    assert type(NullDistribution(Kind.STUDENT_T, df).df) is float
+    assert type(student_t(df).df) is float
 
 
 def test_repr():
