@@ -32,10 +32,8 @@ from .decisions import (
     Procedure,
     _TARGETS,
     _also_rejected,
+    _merged_decision,
     decision_regions,
-    five_decision,
-    jones_tukey_decision,
-    kaiser_decision,
 )
 from .distributions import Kind, NullDistribution, _check_positive
 from .stattests import (
@@ -169,11 +167,6 @@ def cmd_decide(args: argparse.Namespace) -> tuple[dict, list, list]:
     narrow_level = 1.0 - 2.0 * alpha
     regions = decision_regions(result.null, alpha)
     ci_wide, ci_narrow = regions.nested_intervals(result.estimate, result.se)
-    decisions = {
-        Procedure.FIVE_DECISION: five_decision(result.t_stat, result.null, alpha),
-        Procedure.KAISER: kaiser_decision(result.t_stat, result.null, alpha),
-        Procedure.JONES_TUKEY: jones_tukey_decision(result.t_stat, result.null, alpha),
-    }
 
     p = args.precision
     direction = f"{second_label} minus {first_label}"
@@ -203,6 +196,10 @@ def cmd_decide(args: argparse.Namespace) -> tuple[dict, list, list]:
         Procedure.FIVE_DECISION: f"five-decision (alpha={_fmt(alpha, p)})",
         Procedure.KAISER: "directional two-sided, levels alpha/2",
         Procedure.JONES_TUKEY: "two one-sided at full alpha (theta0 impossible)",
+    }
+    decisions = {
+        procedure: _merged_decision(procedure, result.t_stat, result.null, alpha)
+        for procedure in titles
     }
     for procedure, d in decisions.items():
         rows.append([procedure.name.lower(), str(d.index)])

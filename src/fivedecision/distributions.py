@@ -20,8 +20,10 @@ Each solve is kept per (null, p) in a bounded cache, and Student t takes
 0 < df <= 2**53.
 
 Every module checks its input with the private checks below, so each
-rule (finite, positive, integer, probability) has one ValueError message:
+rule (number, finite, positive, integer, probability) has one ValueError
+message:
 
+    {name} must be a number, got {value!r}
     {name} must be finite, got {value!r}
     {name} must be positive, got {value!r}
     {name} must be an integer, got {value!r}
@@ -72,15 +74,28 @@ _CF_MIN_DF = 4.0
 _MAX_TERMS = 100
 
 
+def _not_a_number(x: object, name: str) -> ValueError:
+    # The error for an x that float() refuses.  Each check raises it from
+    # the except clause round its own float(), so that a value it accepts
+    # costs no call beyond float().
+    return ValueError(f"{name} must be a number, got {x!r}")
+
+
 def _check_finite(x: float, name: str) -> float:
-    x = float(x)
+    try:
+        x = float(x)
+    except (TypeError, ValueError):
+        raise _not_a_number(x, name) from None
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
     return x
 
 
 def _check_positive(x: float, name: str) -> float:
-    x = float(x)
+    try:
+        x = float(x)
+    except (TypeError, ValueError):
+        raise _not_a_number(x, name) from None
     if not 0.0 < x < math.inf:
         raise ValueError(f"{name} must be positive, got {x!r}")
     return x
@@ -100,7 +115,10 @@ def _check_int(x: int, name: str, low: int | None = None) -> int:
 
 def _check_probability(p: float, name: str) -> float:
     # Below 1/2 a p whose complement rounds to 1 has no mirror to solve.
-    p = float(p)
+    try:
+        p = float(p)
+    except (TypeError, ValueError):
+        raise _not_a_number(p, name) from None
     if not 0.0 < p < 1.0:
         raise ValueError(f"{name} must lie in (0, 1), got {p!r}")
     if 1.0 - p == 1.0:
@@ -109,7 +127,10 @@ def _check_probability(p: float, name: str) -> float:
 
 
 def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
+    try:
+        alpha = float(alpha)
+    except (TypeError, ValueError):
+        raise _not_a_number(alpha, "alpha") from None
     if not 0.0 < alpha <= 0.5:
         raise ValueError(f"alpha must lie in (0, 0.5], got {alpha!r}")
     if 1.0 - alpha / 2.0 == 1.0:
@@ -145,7 +166,12 @@ class NullDistribution(_Checked, namedtuple("NullDistribution", "kind df")):
 
     def __new__(cls, kind: Kind, df: float | None = None):
         if kind is Kind.STUDENT_T:
-            if df is None or not 0.0 < (df := float(df)) <= _MAX_DF:
+            try:
+                df = float(df)
+            except (TypeError, ValueError):
+                if df is not None:
+                    raise _not_a_number(df, "df") from None
+            if df is None or not 0.0 < df <= _MAX_DF:
                 raise ValueError(f"StudentT requires 0 < df <= 2**53, got {df!r}")
         elif not isinstance(kind, Kind):
             raise ValueError(f"unknown kind {kind!r}")

@@ -59,10 +59,6 @@ _CHUNK_TRIALS = 16384
 # (BENCH_5003df9.json) one block per share cost 1.10-1.37x the
 # one-worker time per trial in every run.
 _MIN_BLOCKS_PER_SHARE = 2
-# Refuse configurations that stand for more observations (2n per
-# trial) than this.  The kernel draws two numbers per trial whatever
-# n is, so this caps the modelled data size, not the draws.
-_MAX_DRAWS = 1 << 40
 
 
 class SimulationConfig(
@@ -92,8 +88,7 @@ class SimulationConfig(
             raise ValueError("seed must fit an unsigned 64-bit integer")
         if not isinstance(procedure, Procedure):
             raise ValueError(f"unknown procedure {procedure!r}")
-        if 2 * n_per_group * trials > _MAX_DRAWS:
-            raise ValueError("trials * n_per_group is too large to simulate")
+        student_t(2 * n_per_group - 2)  # refuses df = 2n - 2 above 2**53
         return super().__new__(
             cls, n_per_group, mean_diff_over_sigma, alpha, trials, seed, procedure
         )

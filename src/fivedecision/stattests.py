@@ -19,7 +19,7 @@ from collections.abc import Sequence
 
 from .distributions import NullDistribution, quantile, student_t
 from .distributions import _NORMAL, _Checked, _check_finite, _check_int, _check_positive
-from .distributions import _upper_tail
+from .distributions import _not_a_number, _upper_tail
 
 __all__ = [
     "DegenerateDataError",
@@ -102,7 +102,16 @@ def two_sample_t_raw(
     """
     summaries = []
     for label, xs in (("first", xs_a), ("second", xs_b)):
-        xs = list(map(float, xs))
+        try:
+            xs = list(map(float, xs))
+        except (TypeError, ValueError):
+            # Name the first value that float() refuses.
+            for x in xs:
+                try:
+                    float(x)
+                except (TypeError, ValueError):
+                    raise _not_a_number(x, f"{label} group value") from None
+            raise
         if len(xs) < 2:
             raise DegenerateDataError(f"{label} group needs at least 2 observations")
         if not all(map(math.isfinite, xs)):
@@ -162,7 +171,10 @@ def wald(estimate: float, se: float, theta0: float = 0.0) -> TestResult:
 
 def confidence_interval(r: TestResult, level: float) -> tuple[float, float]:
     """Symmetric two-sided interval estimate +- q*se at the given level."""
-    level = float(level)
+    try:
+        level = float(level)
+    except (TypeError, ValueError):
+        raise _not_a_number(level, "level") from None
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
     if 1.0 + level == 2.0:

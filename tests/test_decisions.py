@@ -109,6 +109,12 @@ class TestFiveDecision:
         with pytest.raises(ValueError):
             five_decision(math.inf, NORMAL, 0.05)
 
+    def test_rejects_non_numbers(self):
+        with pytest.raises(ValueError, match="t_stat must be a number, got None"):
+            five_decision(None, NORMAL, 0.05)
+        with pytest.raises(ValueError, match="alpha must be a number, got 'x'"):
+            five_decision(1.0, NORMAL, "x")
+
     @pytest.mark.parametrize("alpha", [1e-17, 2.0**-54, 5e-324])
     def test_alpha_below_resolution_named(self, alpha):
         # 1 - alpha/2 rounds to 1: refused with the alpha given, not with

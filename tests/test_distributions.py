@@ -69,6 +69,15 @@ class TestConstruction:
             with pytest.raises(ValueError, match=re.escape(f"StudentT requires 0 < df <= 2**53, got {df!r}")):
                 student_t(df)
 
+    def test_df_must_be_a_number(self):
+        # None keeps the domain message: it is how a Student t without df
+        # is spelled.
+        for df in ("many", {}):
+            with pytest.raises(ValueError, match=re.escape(f"df must be a number, got {df!r}")):
+                student_t(df)
+        with pytest.raises(ValueError, match=re.escape("StudentT requires 0 < df <= 2**53, got None")):
+            student_t(None)
+
     def test_normal_rejects_df(self):
         with pytest.raises(ValueError):
             NullDistribution(Kind.STANDARD_NORMAL, df=5.0)
@@ -186,6 +195,15 @@ class TestStudentCdf:
         x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
         ref = float(mpmath.betainc(df / 2, 0.5, 0, x, regularized=True) / 2)
         assert cdf(student_t(df), -t) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_rejects_non_numbers(self):
+        for bad in (None, "x", [1.0]):
+            for d in (student_t(5), standard_normal()):
+                for fn in (cdf, density):
+                    with pytest.raises(ValueError, match=re.escape(f"t must be a number, got {bad!r}")):
+                        fn(d, bad)
+                with pytest.raises(ValueError, match=re.escape(f"p must be a number, got {bad!r}")):
+                    quantile(d, bad)
 
     def test_rejects_non_finite(self):
         for bad in (math.inf, -math.inf, math.nan):

@@ -35,6 +35,11 @@ CHECKED = {
         {"df": None},
         "StudentT requires 0 < df <= 2**53, got None",
     ),
+    "NullDistribution-df-not-a-number": (
+        NullDistribution,
+        {"df": [18]},
+        "df must be a number, got [18]",
+    ),
     "NullDistribution-normal-with-df": (
         NullDistribution,
         {"kind": Kind.STANDARD_NORMAL},
@@ -60,6 +65,16 @@ CHECKED = {
         {"n": 10.5},
         "group size must be an integer, got 10.5",
     ),
+    "GroupSummary-mean-not-a-number": (
+        GroupSummary,
+        {"mean": "abc"},
+        "mean must be a number, got 'abc'",
+    ),
+    "GroupSummary-sd-not-a-number": (
+        GroupSummary,
+        {"sd": [1]},
+        "sd must be a number, got [1]",
+    ),
     "PowerSpec": (
         PowerSpec,
         {"target": Hypothesis.NONE},
@@ -69,6 +84,21 @@ CHECKED = {
         SampleSizeInputs,
         {"psi": 1.0},
         "psi must lie in (0, 1), got 1.0",
+    ),
+    "PowerSpec-alpha-not-a-number": (
+        PowerSpec,
+        {"alpha": None},
+        "alpha must be a number, got None",
+    ),
+    "SampleSizeInputs-psi-not-a-number": (
+        SampleSizeInputs,
+        {"psi": None},
+        "psi must be a number, got None",
+    ),
+    "SampleSizeInputs-delta-not-a-number": (
+        SampleSizeInputs,
+        {"delta": "big"},
+        "delta must be a number, got 'big'",
     ),
     "SimulationConfig": (
         SimulationConfig,
@@ -89,6 +119,17 @@ CHECKED = {
         SimulationConfig,
         {"seed": 1.5},
         "seed must be an integer, got 1.5",
+    ),
+    "SimulationConfig-effect-not-a-number": (
+        SimulationConfig,
+        {"mean_diff_over_sigma": None},
+        "mean_diff_over_sigma must be a number, got None",
+    ),
+    # The one bound on n: the null's df = 2n - 2 must be at most 2**53.
+    "SimulationConfig-df-too-large": (
+        SimulationConfig,
+        {"n_per_group": 2**52 + 2},
+        "StudentT requires 0 < df <= 2**53, got 9007199254740994.0",
     ),
     "SimulationConfig-procedure-string": (
         SimulationConfig,

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import fivedecision.decisions
@@ -199,7 +201,7 @@ class TestExactDistribution:
     TRIALS = 1 << 18
 
     @pytest.mark.parametrize("effect", [0.0, 0.5])
-    @pytest.mark.parametrize("n", [2, 10, 63, 500])
+    @pytest.mark.parametrize("n", [2, 10, 63, 500, 10**7])
     def test_counts_match_noncentral_t(self, n, effect):
         alpha = 0.05
         cfg = SimulationConfig(
@@ -412,15 +414,35 @@ class TestValidation:
             with pytest.raises(ValueError):
                 SimulationConfig(**{**good, **bad})
 
-    def test_overflow_guard(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(
-                n_per_group=10**6,
-                mean_diff_over_sigma=0.0,
-                alpha=0.05,
-                trials=10**9,
-                seed=0,
-            )
+    def test_data_size_is_not_capped(self):
+        # 2n * trials = 2e15 modelled observations, but a trial draws two
+        # numbers whatever n is, so only the trial count sets the cost.
+        # Built, not run.
+        cfg = SimulationConfig(
+            n_per_group=10**6,
+            mean_diff_over_sigma=0.0,
+            alpha=0.05,
+            trials=10**9,
+            seed=0,
+        )
+        assert (cfg.n_per_group, cfg.trials) == (10**6, 10**9)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        n=st.integers(2, 2**53),
+        trials=st.integers(1, 300),
+        alpha=st.floats(0.0, 0.5, exclude_min=True),
+        effect=st.floats(allow_nan=False, allow_infinity=False),
+        seed=st.integers(0, 2**64 - 1),
+        procedure=st.sampled_from(Procedure),
+    )
+    def test_every_accepted_config_runs(self, n, trials, alpha, effect, seed, procedure):
+        try:
+            cfg = SimulationConfig(n, effect, alpha, trials, seed, procedure)
+        except ValueError:
+            return
+        report = run_simulation(cfg)
+        assert sum(report.counts.values()) == trials
 
     def test_workers_validated(self):
         with pytest.raises(ValueError):

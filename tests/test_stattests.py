@@ -3,6 +3,7 @@ chick-weight example and self-consistency between raw and summary paths."""
 
 import math
 import random
+import re
 import statistics
 import sys
 from fractions import Fraction
@@ -166,6 +167,14 @@ class TestTwoSampleRaw:
         r_raw = two_sample_t_raw([1.0, 2.0, 3.0], [4.0, 6.0, 8.0], 0.5)
         r_sum = two_sample_t(GroupSummary(3, 2.0, 1.0), GroupSummary(3, 6.0, 2.0), 0.5)
         assert r_raw == r_sum
+
+    def test_rejects_non_numbers(self):
+        # The message names the first value float() refuses.
+        with pytest.raises(ValueError, match="first group value must be a number, got 'a'"):
+            two_sample_t_raw([1.0, "a", None], [1.0, 2.0])
+        with pytest.raises(ValueError, match="second group value must be a number, got None"):
+            two_sample_t_raw([1.0, 2.0], [1.0, 2.0, None])
+        assert two_sample_t_raw(["1", 2, "3"], [4, 6, 8]) == two_sample_t_raw([1, 2, 3], [4, 6, 8])
 
     def test_one_constant_group_is_fine(self):
         r = two_sample_t_raw([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
@@ -351,6 +360,17 @@ class TestWald:
         with pytest.raises(ValueError, match="theta0 must be finite, got inf"):
             wald(1.0, 1.0, math.inf)
 
+    def test_rejects_non_numbers(self):
+        # What float() refuses, by ValueError or TypeError, is one
+        # ValueError with the check's own message.
+        with pytest.raises(ValueError, match="theta0 must be a number, got None"):
+            wald(1.0, 1.0, theta0=None)
+        with pytest.raises(ValueError, match="estimate must be a number, got 'abc'"):
+            wald("abc", 1.0)
+        with pytest.raises(ValueError, match=r"se must be a number, got \[1\]"):
+            wald(1.0, [1])
+        assert wald("2.5", "1") == wald(2.5, 1.0)
+
     def test_far_tail_p_value(self):
         # 2 * (1 - cdf(9)) rounds to 0; the tail itself is 2.26e-19.
         p = wald(9.0, 1.0).p_two_sided
@@ -414,6 +434,12 @@ class TestConfidenceInterval:
         r = wald(1.0, 1.0, 0.0)
         for level in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(ValueError):
+                confidence_interval(r, level)
+
+    def test_level_must_be_a_number(self):
+        r = wald(1.0, 1.0, 0.0)
+        for level in ("high", None, [0.95]):
+            with pytest.raises(ValueError, match=re.escape(f"level must be a number, got {level!r}")):
                 confidence_interval(r, level)
 
     def test_level_whose_quantile_rounds_to_one(self):
