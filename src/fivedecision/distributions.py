@@ -31,6 +31,9 @@ message:
     {name} must lie in (0, 1), got {value!r}
     {name} {value!r} is too small: 1 - {name} rounds to 1
 
+All convert by one _number, which reads an int beyond the float range as
++-inf, as float("1e400") does, so the rule's range message refuses it.
+
 The checked records (NullDistribution here, and those of stattests, power
 and simulation) derive from _Checked, whose one _make runs their checks
 however they are built.
@@ -74,28 +77,27 @@ _CF_MIN_DF = 4.0
 _MAX_TERMS = 100
 
 
-def _not_a_number(x: object, name: str) -> ValueError:
-    # The error for an x that float() refuses.  Each check raises it from
-    # the except clause round its own float(), so that a value it accepts
-    # costs no call beyond float().
-    return ValueError(f"{name} must be a number, got {x!r}")
+def _number(x: object, name: str) -> float:
+    # The one float conversion behind every check.  An int beyond the float
+    # range reads as +-inf, as float("1e400") does, so the caller's own
+    # range check refuses it.
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {x!r}") from None
 
 
 def _check_finite(x: float, name: str) -> float:
-    try:
-        x = float(x)
-    except (TypeError, ValueError):
-        raise _not_a_number(x, name) from None
+    x = _number(x, name)
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
     return x
 
 
 def _check_positive(x: float, name: str) -> float:
-    try:
-        x = float(x)
-    except (TypeError, ValueError):
-        raise _not_a_number(x, name) from None
+    x = _number(x, name)
     if not 0.0 < x < math.inf:
         raise ValueError(f"{name} must be positive, got {x!r}")
     return x
@@ -115,10 +117,7 @@ def _check_int(x: int, name: str, low: int | None = None) -> int:
 
 def _check_probability(p: float, name: str) -> float:
     # Below 1/2 a p whose complement rounds to 1 has no mirror to solve.
-    try:
-        p = float(p)
-    except (TypeError, ValueError):
-        raise _not_a_number(p, name) from None
+    p = _number(p, name)
     if not 0.0 < p < 1.0:
         raise ValueError(f"{name} must lie in (0, 1), got {p!r}")
     if 1.0 - p == 1.0:
@@ -127,10 +126,7 @@ def _check_probability(p: float, name: str) -> float:
 
 
 def _check_alpha(alpha: float) -> float:
-    try:
-        alpha = float(alpha)
-    except (TypeError, ValueError):
-        raise _not_a_number(alpha, "alpha") from None
+    alpha = _number(alpha, "alpha")
     if not 0.0 < alpha <= 0.5:
         raise ValueError(f"alpha must lie in (0, 0.5], got {alpha!r}")
     if 1.0 - alpha / 2.0 == 1.0:
@@ -166,11 +162,8 @@ class NullDistribution(_Checked, namedtuple("NullDistribution", "kind df")):
 
     def __new__(cls, kind: Kind, df: float | None = None):
         if kind is Kind.STUDENT_T:
-            try:
-                df = float(df)
-            except (TypeError, ValueError):
-                if df is not None:
-                    raise _not_a_number(df, "df") from None
+            if df is not None:
+                df = _number(df, "df")
             if df is None or not 0.0 < df <= _MAX_DF:
                 raise ValueError(f"StudentT requires 0 < df <= 2**53, got {df!r}")
         elif not isinstance(kind, Kind):

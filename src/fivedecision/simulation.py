@@ -97,7 +97,7 @@ class SimulationConfig(
 class SimulationReport(
     namedtuple(
         "SimulationReport",
-        "config counts freq mc_se wrong_rejection_rate wrong_rejection_mc_se seed",
+        "config counts freq mc_se wrong_rejection_rate wrong_rejection_mc_se",
     )
 ):
     """counts, freq and mc_se map each verdict of the procedure to its
@@ -114,7 +114,7 @@ class SimulationReport(
             "mean_diff_over_sigma": self.config.mean_diff_over_sigma,
             "alpha": self.config.alpha,
             "trials": self.config.trials,
-            "seed": self.seed,
+            "seed": self.config.seed,
             "counts": {str(k): v for k, v in self.counts.items()},
             "freq": {str(k): v for k, v in self.freq.items()},
             "mc_se": {str(k): v for k, v in self.mc_se.items()},
@@ -265,5 +265,4 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
         mc_se=mc_se,
         wrong_rejection_rate=wrong_rate,
         wrong_rejection_mc_se=wrong_se,
-        seed=cfg.seed,
     )

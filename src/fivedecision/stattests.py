@@ -4,9 +4,9 @@ Covers the two-sample pooled t-test, from raw observations or from
 per-group summary statistics, and the Wald statistic for an estimate
 with a known standard error.  Every result carries its null
 distribution so that decision rules and intervals can be derived from
-the same object.  From raw observations each group's sd is the correctly
-rounded square root of its exact sample variance, on every Python
-version, and its mean is math.fsum(xs) / n.
+the same object.  From raw observations each group's mean, and the square
+root of its exact sample variance, are correctly rounded on every Python
+version.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections.abc import Sequence
 
 from .distributions import NullDistribution, quantile, student_t
 from .distributions import _NORMAL, _Checked, _check_finite, _check_int, _check_positive
-from .distributions import _not_a_number, _upper_tail
+from .distributions import _number, _upper_tail
 
 __all__ = [
     "DegenerateDataError",
@@ -81,13 +81,14 @@ def two_sample_t(a: GroupSummary, b: GroupSummary, theta0: float = 0.0) -> TestR
     theta0 = _check_finite(theta0, "theta0")
     (n_a, mean_a, sd_a), (n_b, mean_b, sd_b) = a, b
     df = n_a + n_b - 2
+    null = student_t(df)  # first, so the df rule refuses a group size of 10**400
     pooled_var = ((n_a - 1) * (sd_a * sd_a) + (n_b - 1) * (sd_b * sd_b)) / df
     if not math.isfinite(pooled_var):
         raise ValueError("pooled variance overflows: the data spread is too large")
     if pooled_var <= 0:
         raise DegenerateDataError("no within-group variance in either group")
     se = math.sqrt(pooled_var) * math.sqrt(1.0 / n_a + 1.0 / n_b)
-    return _result(mean_a - mean_b, se, theta0, student_t(df))
+    return _result(mean_a - mean_b, se, theta0, null)
 
 
 def two_sample_t_raw(
@@ -102,39 +103,41 @@ def two_sample_t_raw(
     """
     summaries = []
     for label, xs in (("first", xs_a), ("second", xs_b)):
+        values = list(xs)
         try:
-            xs = list(map(float, xs))
-        except (TypeError, ValueError):
-            # Name the first value that float() refuses.
-            for x in xs:
-                try:
-                    float(x)
-                except (TypeError, ValueError):
-                    raise _not_a_number(x, f"{label} group value") from None
-            raise
+            xs = list(map(float, values))
+        except (TypeError, ValueError, OverflowError):
+            # Name the first value float() refuses; a too-large int reads as +-inf.
+            xs = [_number(x, f"{label} group value") for x in values]
         if len(xs) < 2:
             raise DegenerateDataError(f"{label} group needs at least 2 observations")
         if not all(map(math.isfinite, xs)):
             raise ValueError(f"{label} group contains non-finite values")
-        summaries.append((len(xs), math.fsum(xs) / len(xs), _sample_sd(xs)))
+        try:
+            mean, sd = _moments(xs)
+        except OverflowError:
+            # An sd past the float range: two_sample_t refuses inf, mean unread.
+            mean, sd = math.nan, math.inf
+        summaries.append((len(xs), mean, sd))
     return two_sample_t(summaries[0], summaries[1], theta0)
 
 
-def _sample_sd(xs: list[float]) -> float:
-    """Sample standard deviation of finite floats, correctly rounded.
+def _moments(xs: list[float]) -> tuple[float, float]:
+    """Mean and sample sd of finite floats, each correctly rounded.
 
-    Each x is m * 2**-k over one common k, so the sample variance is
-    (n*sum(m*m) - sum(m)**2) / (n*(n-1)) * 4**-k exactly, in integers.
-    Its square root is rounded to odd at 109 bits, then once to the float:
-    the method of statistics.stdev from Python 3.11 (3.10's rounds the
-    variance to a float first, and can land one ulp off).
+    Each x is m * 2**-k over one common k, so the mean sum(m) / n * 2**-k
+    and the variance (n*sum(m*m) - sum(m)**2) / (n*(n-1)) * 4**-k are exact
+    in integers.  The mean is one int / int division.  The variance's root
+    is rounded to odd at 109 bits, then once to the float: the method of
+    statistics.stdev from Python 3.11 (3.10's rounds the variance to a
+    float first, and can land one ulp off).
 
     k is 53 minus the binary exponent of the smallest nonzero |x|, so
     every x * 2**k is an integer-valued float, formed by math.ldexp.  When
     that overflows (the group spans more than about 970 binades) the
     integers come from as_integer_ratio over the largest denominator
-    instead.  Any common k scales num and den by one power of four, which
-    leaves every bit of the result, and every OverflowError, the same.
+    instead.  Any common k scales each ratio's two integers alike, which
+    leaves every bit of both results, and every OverflowError, the same.
     """
     n = len(xs)
     tiny = min(filter(None, map(abs, xs)), default=0.0)
@@ -147,6 +150,7 @@ def _sample_sd(xs: list[float]) -> float:
         ms = [num * (scale // den) for num, den in ratios]
         k = scale.bit_length() - 1
     total = sum(ms)
+    mean = total / (n << k) if k >= 0 else (total << -k) / n
     num = n * sum(map(operator.mul, ms, ms)) - total * total
     den = n * (n - 1)
     shift = (num.bit_length() - den.bit_length() - 2 * k - 109) // 2
@@ -158,7 +162,7 @@ def _sample_sd(xs: list[float]) -> float:
     root |= root * root * den != num
     # int / int rounds once, and past the float range raises OverflowError
     # with the message of statistics.stdev.
-    return (root << shift) / 1 if shift >= 0 else root / (1 << -shift)
+    return mean, ((root << shift) / 1 if shift >= 0 else root / (1 << -shift))
 
 
 def wald(estimate: float, se: float, theta0: float = 0.0) -> TestResult:
@@ -171,10 +175,7 @@ def wald(estimate: float, se: float, theta0: float = 0.0) -> TestResult:
 
 def confidence_interval(r: TestResult, level: float) -> tuple[float, float]:
     """Symmetric two-sided interval estimate +- q*se at the given level."""
-    try:
-        level = float(level)
-    except (TypeError, ValueError):
-        raise _not_a_number(level, "level") from None
+    level = _number(level, "level")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
     if 1.0 + level == 2.0:

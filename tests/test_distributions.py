@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from fivedecision import distributions
-from fivedecision.decisions import decision_regions
+from fivedecision.decisions import decision_regions, five_decision
 from fivedecision.distributions import (
     Kind,
     NullDistribution,
@@ -25,7 +25,8 @@ from fivedecision.distributions import (
     standard_normal,
     student_t,
 )
-from fivedecision.stattests import GroupSummary, confidence_interval, two_sample_t, wald
+from fivedecision.stattests import GroupSummary, confidence_interval, two_sample_t
+from fivedecision.stattests import two_sample_t_raw, wald
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -214,6 +215,55 @@ class TestStudentCdf:
             for d in (student_t(5), standard_normal()):
                 with pytest.raises(ValueError, match=f"t must be finite, got {bad!r}"):
                     density(d, bad)
+
+
+# Each check of a value, and its message with {} for the +-inf that an int
+# beyond the float range reads as.
+BEYOND_FLOAT_RANGE = {
+    "cdf-t": (lambda v: cdf(student_t(5), v), "t must be finite, got {}"),
+    "cdf-normal": (lambda v: cdf(standard_normal(), v), "t must be finite, got {}"),
+    "density-t": (lambda v: density(student_t(5), v), "t must be finite, got {}"),
+    "density-normal": (lambda v: density(standard_normal(), v), "t must be finite, got {}"),
+    "quantile-p": (lambda v: quantile(student_t(5), v), "p must lie in (0, 1), got {}"),
+    "student_t-df": (student_t, "StudentT requires 0 < df <= 2**53, got {}"),
+    "wald-estimate": (lambda v: wald(v, 1.0), "estimate must be finite, got {}"),
+    "wald-se": (lambda v: wald(1.0, v), "se must be positive, got {}"),
+    "wald-theta0": (lambda v: wald(1.0, 1.0, v), "theta0 must be finite, got {}"),
+    "five_decision-t_stat": (
+        lambda v: five_decision(v, standard_normal(), 0.05),
+        "t_stat must be finite, got {}",
+    ),
+    "decision_regions-alpha": (
+        lambda v: decision_regions(standard_normal(), v),
+        "alpha must lie in (0, 0.5], got {}",
+    ),
+    "confidence_interval-level": (
+        lambda v: confidence_interval(wald(1.0, 1.0), v),
+        "level must lie in (0, 1), got {}",
+    ),
+    "two_sample_t_raw-first": (
+        lambda v: two_sample_t_raw([1.0, v], [1.0, 2.0]),
+        "first group contains non-finite values",
+    ),
+    "two_sample_t_raw-second": (
+        lambda v: two_sample_t_raw([1.0, 2.0], [v, 2.0]),
+        "second group contains non-finite values",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "big", [10**400, -10**400, 10**5000], ids=["10**400", "-10**400", "10**5000"]
+)
+@pytest.mark.parametrize("check", BEYOND_FLOAT_RANGE)
+def test_int_beyond_the_float_range_meets_the_rule(check, big):
+    # Read as +-inf, as float("1e400") reads, it gets the rule's own
+    # ValueError, never an OverflowError.  No message may show the int:
+    # 10**5000 is past the int-to-str digit limit.
+    call, message = BEYOND_FLOAT_RANGE[check]
+    with pytest.raises(ValueError) as exc:
+        call(big)
+    assert str(exc.value) == message.format("inf" if big > 0 else "-inf")
 
 
 def _mpmath_relative_error(d, p, q):

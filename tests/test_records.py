@@ -138,6 +138,31 @@ CHECKED = {
     ),
 }
 
+# An int beyond the float range in each float field reads as +-inf, as
+# float("1e400") does, and meets that field's own rule: {} is the inf.
+BEYOND_FLOAT_RANGE = {
+    (NullDistribution, "df"): "StudentT requires 0 < df <= 2**53, got {}",
+    (GroupSummary, "mean"): "mean must be finite, got {}",
+    (GroupSummary, "sd"): "sd must be positive, got {}",
+    (PowerSpec, "alpha"): "alpha must lie in (0, 0.5], got {}",
+    (PowerSpec, "effect"): "effect must be finite, got {}",
+    (SampleSizeInputs, "alpha"): "alpha must lie in (0, 0.5], got {}",
+    (SampleSizeInputs, "psi"): "psi must lie in (0, 1), got {}",
+    (SampleSizeInputs, "delta"): "delta must be positive, got {}",
+    (SampleSizeInputs, "tau"): "tau must be positive, got {}",
+    (SimulationConfig, "mean_diff_over_sigma"): "mean_diff_over_sigma must be finite, got {}",
+    (SimulationConfig, "alpha"): "alpha must lie in (0, 0.5], got {}",
+}
+for (cls, field), message in BEYOND_FLOAT_RANGE.items():
+    for value, inf in ((10**400, "inf"), (-10**400, "-inf")):
+        CHECKED[f"{cls.__name__}-{field}-{inf}"] = (cls, {field: value}, message.format(inf))
+# The null's df = 2n - 2 of a group size beyond the float range.
+CHECKED["SimulationConfig-n-beyond-the-float-range"] = (
+    SimulationConfig,
+    {"n_per_group": 10**400},
+    "StudentT requires 0 < df <= 2**53, got inf",
+)
+
 WAYS = {
     "positional": lambda cls, good, bad: cls(*bad.values()),
     "keyword": lambda cls, good, bad: cls(**bad),

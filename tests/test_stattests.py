@@ -123,6 +123,14 @@ class TestTwoSampleSummary:
         with pytest.raises(ValueError, match="overflows .estimate -inf, se"):
             two_sample_t(lo, hi)
 
+    @pytest.mark.parametrize("n", [2**53, 10**400, 10**5000], ids=["2**53", "10**400", "10**5000"])
+    def test_group_size_beyond_the_df_rule(self, n):
+        # The null is built before the pooled variance reads n as a float.
+        with pytest.raises(ValueError) as exc:
+            two_sample_t(GroupSummary(n, 0.0, 1.0), GroupSummary(10, 1.0, 1.0))
+        df = "9007199254741000.0" if n == 2**53 else "inf"
+        assert str(exc.value) == f"StudentT requires 0 < df <= 2**53, got {df}"
+
     def test_scipy_cross_check_unequal_n(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -175,6 +183,25 @@ class TestTwoSampleRaw:
         with pytest.raises(ValueError, match="second group value must be a number, got None"):
             two_sample_t_raw([1.0, 2.0], [1.0, 2.0, None])
         assert two_sample_t_raw(["1", 2, "3"], [4, 6, 8]) == two_sample_t_raw([1, 2, 3], [4, 6, 8])
+        # A generator is read once into a list, so its value is named too.
+        with pytest.raises(ValueError, match="^first group value must be a number, got 'a'$"):
+            two_sample_t_raw((x for x in [1, "a", 3]), [1, 2])
+        assert two_sample_t_raw(iter([1, 2, 3]), (x for x in [4, 6, 8])) == two_sample_t_raw(
+            [1, 2, 3], [4, 6, 8]
+        )
+
+    def test_sd_beyond_the_float_range(self):
+        # _moments raises OverflowError there, as statistics.stdev does; the
+        # raw path reads that sd as inf, and two_sample_t refuses it.
+        with pytest.raises(ValueError, match="^pooled variance overflows: the data spread is too large$"):
+            two_sample_t_raw([1.7e308, -1.7e308], [0.0, 1.0])
+
+    def test_mean_near_the_float_max(self):
+        # Its sum 3.4e308 is past the float range, but the exact integers
+        # hold it, and the mean is read once from them.
+        assert stattests._moments([1.7e308, 1.7e308]) == (1.7e308, 0.0)
+        with pytest.raises(ValueError, match=re.escape("estimate 1.7e+308, se 0.5")):
+            two_sample_t_raw([1.7e308, 1.7e308], [0.0, 1.0])
 
     def test_one_constant_group_is_fine(self):
         r = two_sample_t_raw([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
@@ -211,8 +238,8 @@ def _exact_sd(xs):
 
 def _sample_sd_by_ratios(xs):
     # The integers taken from as_integer_ratio over the largest denominator:
-    # _sample_sd's formula before it scaled by 2**k with math.ldexp.  Kept
-    # as the reference that the scaled formula must match bit for bit.
+    # the sd formula of _moments before it scaled by 2**k with math.ldexp.
+    # Kept as the reference that the scaled formula must match bit for bit.
     ratios = [x.as_integer_ratio() for x in xs]
     scale = max(den for _, den in ratios)
     ms = [num * (scale // den) for num, den in ratios]
@@ -228,6 +255,11 @@ def _sample_sd_by_ratios(xs):
     root = math.isqrt(num // den)
     root |= root * root * den != num
     return (root << shift) / 1 if shift >= 0 else root / (1 << -shift)
+
+
+def _sample_sd(xs):
+    # The sd that _moments returns with the mean.
+    return stattests._moments(xs)[1]
 
 
 def _outcome(f, xs):
@@ -266,17 +298,19 @@ _ANY_MAGNITUDE = (
 
 class TestSampleSd:
     # The raw path's sd is the correctly rounded square root of the exact
-    # sample variance, on every Python version.
+    # sample variance, on every Python version, and its mean the correctly
+    # rounded exact mean.
 
     @PROPERTY
     @given(xs=st.lists(_ANY_MAGNITUDE, min_size=2, max_size=120))
     def test_correctly_rounded(self, xs):
         exact = _exact_sd(xs)
         try:
-            sd = stattests._sample_sd(xs)
+            mean, sd = stattests._moments(xs)
         except OverflowError:
             assert exact > sys.float_info.max
             return
+        assert mean == float(sum(map(Fraction, xs)) / len(xs))
         assert _is_nearest_float(sd, exact)
         if sys.version_info >= (3, 11):
             assert sd.hex() == statistics.stdev(xs).hex()
@@ -284,7 +318,7 @@ class TestSampleSd:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_matches_integer_ratio_formula(self, seed):
         for xs in _sd_corpus(seed):
-            assert _outcome(stattests._sample_sd, xs) == _outcome(_sample_sd_by_ratios, xs), xs
+            assert _outcome(_sample_sd, xs) == _outcome(_sample_sd_by_ratios, xs), xs
 
     @pytest.mark.parametrize(
         "xs",
@@ -295,7 +329,7 @@ class TestSampleSd:
         ],
     )
     def test_groups_spanning_the_float_range(self, xs):
-        sd = stattests._sample_sd(xs)
+        sd = _sample_sd(xs)
         assert math.isfinite(sd)
         assert _is_nearest_float(sd, _exact_sd(xs))
         assert sd.hex() == _sample_sd_by_ratios(xs).hex()
@@ -312,7 +346,7 @@ class TestSampleSd:
         ],
     )
     def test_small_edges_and_a_long_group(self, xs):
-        sd = stattests._sample_sd(xs)
+        sd = _sample_sd(xs)
         assert _is_nearest_float(sd, _exact_sd(xs))
         assert sd.hex() == _sample_sd_by_ratios(xs).hex()
 
@@ -323,7 +357,7 @@ class TestSampleSd:
         # `decide --csv` printed se 2.509242175696937 there for these groups.
         xs = [1.0, 1.5, 7.0]
         assert _is_nearest_float(3.3291640592396963, _exact_sd(xs))
-        assert stattests._sample_sd(xs) == 3.3291640592396963
+        assert _sample_sd(xs) == 3.3291640592396963
         r = two_sample_t_raw(xs, [2.0, 3.0])
         assert r.se == 2.5092421756969365
         assert r == two_sample_t(
@@ -334,7 +368,7 @@ class TestSampleSd:
     def test_overflowing_sd_raises(self):
         # As statistics.stdev does: the sd of +-1.7e308 lies beyond the float range.
         with pytest.raises(OverflowError, match="integer division result too large for a float"):
-            stattests._sample_sd([1.7e308, -1.7e308])
+            stattests._moments([1.7e308, -1.7e308])
 
 
 class TestWald:
