@@ -116,7 +116,10 @@ _DECISIONS = (
     Decision(5, Hypothesis.H5, Hypothesis.H2),
 )
 
-# The hypotheses a verdict can reject, in verdict order.
+# The hypotheses a verdict can reject, in verdict order, which is also
+# boundary order: the target at position i is rejected beyond boundary
+# i of decision_regions, below q1 or q2 for H1 and H2, above q3 or q4
+# for H4 and H5.
 _TARGETS = (Hypothesis.H1, Hypothesis.H2, Hypothesis.H4, Hypothesis.H5)
 
 
@@ -170,11 +173,6 @@ def decision_regions(null: NullDistribution, alpha: float) -> DecisionRegions:
 _TIES_UP = (True, True, False, False)
 
 
-def _index_from_boundaries(t_stat, q1, q2, q3, q4):
-    # _TIES_UP written out, as the scalar engines run this on every call.
-    return 1 + (t_stat >= q1) + (t_stat >= q2) + (t_stat > q3) + (t_stat > q4)
-
-
 class Procedure(enum.Enum):
     FIVE_DECISION = "five-decision"
     KAISER = "kaiser"
@@ -221,7 +219,8 @@ def _merged_decision(
 ) -> Decision:
     t_stat = _check_finite(t_stat, "t_stat")
     q1, q2, q3, q4 = decision_regions(null, alpha).boundaries
-    index = _index_from_boundaries(t_stat, q1, q2, q3, q4)
+    # _TIES_UP written out, as the scalar engines run this on every call.
+    index = 1 + (t_stat >= q1) + (t_stat >= q2) + (t_stat > q3) + (t_stat > q4)
     return _DECISIONS[_MERGE[procedure][index] - 1]
 
 

@@ -32,7 +32,8 @@ message:
     {name} {value!r} is too small: 1 - {name} rounds to 1
 
 All convert by one _number, which reads an int beyond the float range as
-+-inf, as float("1e400") does, so the rule's range message refuses it.
++-inf, as float("1e400") does, so the rule's range message refuses it;
+the "at least" message prints such an int as -inf too.
 
 The checked records (NullDistribution here, and those of stattests, power
 and simulation) derive from _Checked, whose one _make runs their checks
@@ -111,7 +112,10 @@ def _check_int(x: int, name: str, low: int | None = None) -> int:
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {x!r}") from None
     if low is not None and x < low:
-        raise ValueError(f"{name} must be at least {low}, got {x}")
+        # One beyond the float range prints as _number reads it, -inf,
+        # which also keeps it clear of the int-to-str digit limit.
+        shown = x if _number(x, name) > -math.inf else -math.inf
+        raise ValueError(f"{name} must be at least {low}, got {shown}")
     return x
 
 

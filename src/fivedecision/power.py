@@ -1,10 +1,12 @@
 """Asymptotic (Wald) power and sample-size planning.
 
 With a standard normal null, the probability of each directional
-rejection at true standardized effect e = (theta - theta0)/SE is
+rejection at true standardized effect e = (theta - theta0)/SE is the
+normal tail beyond that target's own decision_regions boundary,
+q1..q4 = z_{a/2}, z_a, z_{1-a}, z_{1-a/2}:
 
-    psi_1 = Phi(z_{a/2} - e)      psi_2 = Phi(z_a - e)
-    psi_4 = Phi(z_a + e)          psi_5 = Phi(z_{a/2} + e)
+    psi_1 = Phi(q1 - e)      psi_2 = Phi(q2 - e)
+    psi_4 = Phi(e - q3)      psi_5 = Phi(e - q4)
 
 Rejecting a strict hypothesis (H2 or H4) is easier than rejecting its
 non-strict counterpart (H1 or H5), and the gap translates into smaller
@@ -89,21 +91,21 @@ def power_wald(spec: PowerSpec) -> float:
     if _holds(spec.target, spec.effect):
         msg = f"rejecting {spec.target.value} is a wrong rejection at effect {spec.effect}"
         warnings.warn(f"{msg}: theta {spec.target.comparator} theta0 holds there", stacklevel=2)
-    q1, q2, _, _ = decision_regions(_NORMAL, spec.alpha).boundaries
-    z = q1 if spec.target in (Hypothesis.H1, Hypothesis.H5) else q2
-    if spec.target in (Hypothesis.H1, Hypothesis.H2):
-        return cdf(_NORMAL, z - spec.effect)
-    return cdf(_NORMAL, z + spec.effect)
+    i = _TARGETS.index(spec.target)
+    q = decision_regions(_NORMAL, spec.alpha).boundaries[i]
+    if i < 2:
+        return cdf(_NORMAL, q - spec.effect)
+    return cdf(_NORMAL, spec.effect - q)
 
 
-def _z_pair(inputs: SampleSizeInputs, strict: bool) -> tuple[float, float]:
-    _, _, q3, q4 = decision_regions(_NORMAL, inputs.alpha).boundaries
-    z_alpha = q3 if strict else q4
-    z_psi = quantile(_NORMAL, inputs.psi)
-    if z_alpha + z_psi <= 0.0:
+def _z_sum(inputs: SampleSizeInputs, strict: bool) -> float:
+    # z_{1-a} + z_psi for the strict target, z_{1-a/2} + z_psi otherwise.
+    q = decision_regions(_NORMAL, inputs.alpha).boundaries[2 if strict else 3]
+    z_sum = q + quantile(_NORMAL, inputs.psi)
+    if z_sum <= 0.0:
         # Otherwise the formula asks for a nonpositive sample.
         raise ValueError("target power must exceed the size of the test")
-    return z_alpha, z_psi
+    return z_sum
 
 
 def sample_size(inputs: SampleSizeInputs, strict: bool = False) -> SampleSizeResult:
@@ -113,9 +115,9 @@ def sample_size(inputs: SampleSizeInputs, strict: bool = False) -> SampleSizeRes
     (boundary quantile z_{1-alpha/2}); strict=True sizes the strict one
     (z_{1-alpha}), which always needs fewer observations.
     """
-    z_alpha, z_psi = _z_pair(inputs, strict)
+    z_sum = _z_sum(inputs, strict)
     try:
-        n_exact = (z_alpha + z_psi) ** 2 * inputs.tau**2 / inputs.delta**2
+        n_exact = z_sum**2 * inputs.tau**2 / inputs.delta**2
         if n_exact > 0.0:  # an underflow to 0 is out of range as well
             return SampleSizeResult(n_exact=n_exact, n=math.ceil(n_exact))
     except (OverflowError, ZeroDivisionError):
@@ -128,9 +130,7 @@ def reduction(alpha: float, psi: float) -> float:
     """Relative sample-size saving of the strict target over the
     non-strict one: 1 - ((z_{1-a} + z_psi)/(z_{1-a/2} + z_psi))^2."""
     inputs = SampleSizeInputs(alpha=alpha, psi=psi, delta=1.0, tau=1.0)
-    z_wide, z_psi = _z_pair(inputs, strict=False)
-    z_narrow, _ = _z_pair(inputs, strict=True)
-    ratio = (z_narrow + z_psi) / (z_wide + z_psi)
+    ratio = _z_sum(inputs, strict=True) / _z_sum(inputs, strict=False)
     return 1.0 - ratio * ratio
 
 

@@ -1,6 +1,7 @@
 """Smoke test: every narrative script in demos/ runs to completion
 against the package in src/, with warnings as errors, prints something
-and writes nothing to stderr."""
+and writes nothing to stderr; so does README's library example, and it
+prints what its comment promises."""
 
 import os
 import pathlib
@@ -30,4 +31,22 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    assert result.stderr == ""
+
+
+def test_readme_library_example():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "4 H4\n"
     assert result.stderr == ""

@@ -2,6 +2,7 @@
 reduction table."""
 
 import math
+import warnings
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from fivedecision.decisions import Hypothesis
+from fivedecision.decisions import Hypothesis, decision_regions
+from fivedecision.distributions import cdf, quantile, standard_normal
 from fivedecision.power import (
     DEFAULT_TABLE_ALPHAS,
     DEFAULT_TABLE_PSIS,
@@ -203,6 +205,75 @@ class TestSampleSize:
             SampleSizeInputs(alpha=0.05, psi=1.0, delta=0.5, tau=1.0)
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 0\.5\]"):
             SampleSizeInputs(alpha=0.7, psi=0.8, delta=0.5, tau=1.0)
+
+
+ALPHAS = st.floats(2.0**-52, 0.5)
+EFFECTS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _power(alpha, effect, target):
+    # Wrong-side targets warn; the bits are what is checked here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return power_wald(PowerSpec(alpha, effect, target))
+
+
+class TestBoundaryForms:
+    """Each number is the closed form over the decision_regions
+    boundaries q1..q4, to the bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(ALPHAS, EFFECTS)
+    @example(0.5, 0.0)
+    @example(0.5, -0.0)
+    @example(0.05, 1e308)
+    @example(0.05, -1e308)
+    @example(2.0**-52, 0.0)
+    def test_power_is_the_tail_beyond_the_target_boundary(self, alpha, effect):
+        normal = standard_normal()
+        q1, q2, q3, q4 = decision_regions(normal, alpha).boundaries
+        targets = (Hypothesis.H1, Hypothesis.H2, Hypothesis.H4, Hypothesis.H5)
+        got = {t: _power(alpha, effect, t) for t in targets}
+        assert got[Hypothesis.H1].hex() == cdf(normal, q1 - effect).hex()
+        assert got[Hypothesis.H2].hex() == cdf(normal, q2 - effect).hex()
+        assert got[Hypothesis.H4].hex() == cdf(normal, effect - q3).hex()
+        assert got[Hypothesis.H5].hex() == cdf(normal, effect - q4).hex()
+        # The lower boundaries mirror the upper ones, so each lower
+        # target at e is its mirror at -e.
+        assert got[Hypothesis.H1].hex() == _power(alpha, -effect, Hypothesis.H5).hex()
+        assert got[Hypothesis.H2].hex() == _power(alpha, -effect, Hypothesis.H4).hex()
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        ALPHAS,
+        st.floats(1e-15, 1.0, exclude_max=True),
+        st.floats(1e-3, 1e3),
+        st.floats(1e-3, 1e3),
+    )
+    @example(0.05, 0.8, 0.5, math.sqrt(2.0))
+    @example(0.5, 0.5, 1.0, 1.0)
+    @example(0.05, 1.0 - 2.0**-53, 1.0, 1.0)
+    @example(0.05, 0.01, 1.0, 1.0)
+    def test_sample_size_and_reduction_are_the_closed_forms(self, alpha, psi, delta, tau):
+        normal = standard_normal()
+        _, _, q3, q4 = decision_regions(normal, alpha).boundaries
+        z_psi = quantile(normal, psi)
+        inputs = SampleSizeInputs(alpha, psi, delta, tau)
+        refused = "target power must exceed the size of the test"
+        for strict, q in ((True, q3), (False, q4)):
+            if q + z_psi <= 0.0:
+                with pytest.raises(ValueError, match=refused):
+                    sample_size(inputs, strict=strict)
+            else:
+                n_exact = (q + z_psi) ** 2 * tau**2 / delta**2
+                assert sample_size(inputs, strict=strict).n_exact.hex() == n_exact.hex()
+        # q4 >= q3, so the strict sum is the one that can fail.
+        if q3 + z_psi <= 0.0:
+            with pytest.raises(ValueError, match=refused):
+                reduction(alpha, psi)
+        else:
+            ratio = (q3 + z_psi) / (q4 + z_psi)
+            assert reduction(alpha, psi).hex() == (1.0 - ratio * ratio).hex()
 
 
 def _decimal_half_up(fraction):

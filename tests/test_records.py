@@ -163,6 +163,21 @@ CHECKED["SimulationConfig-n-beyond-the-float-range"] = (
     "StudentT requires 0 < df <= 2**53, got inf",
 )
 
+# An int below an integer field's bound and beyond the float range
+# prints as -inf, as _number reads it, not as its digits: 10**5000 is
+# past Python's int-to-str digit limit.
+for cls, field, rule in (
+    (GroupSummary, "n", "group size must be at least 2"),
+    (SimulationConfig, "n_per_group", "n_per_group must be at least 2"),
+    (SimulationConfig, "trials", "trials must be at least 1"),
+):
+    for digits in (400, 5000):
+        CHECKED[f"{cls.__name__}-{field}-minus-1e{digits}"] = (
+            cls,
+            {field: -(10**digits)},
+            f"{rule}, got -inf",
+        )
+
 WAYS = {
     "positional": lambda cls, good, bad: cls(*bad.values()),
     "keyword": lambda cls, good, bad: cls(**bad),

@@ -450,6 +450,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="workers must be an integer, got 1.5"):
             run_simulation(BASE, workers=1.5)
 
+    def test_workers_beyond_the_float_range(self):
+        # Refused as -inf, as _number reads it, not printed as 5001 digits.
+        with pytest.raises(ValueError, match="workers must be at least 1, got -inf"):
+            run_simulation(BASE, workers=-(10**5000))
+
     @pytest.fixture
     def inline_pool(self, monkeypatch):
         """Stand-ins for the thread pool and the chunk kernel that run
