@@ -356,8 +356,9 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, list, list]:
         f"effect={_fmt(cfg.mean_diff_over_sigma, p)} alpha={_fmt(cfg.alpha, p)} "
         f"trials={cfg.trials} seed={cfg.seed}"
     ]
-    for k in sorted(report.freq):
-        freq, se = _fmt(report.freq[k], p), _fmt(report.mc_se[k], p)
+    freqs, ses = report.freq, report.mc_se  # each read computes them anew
+    for k in sorted(freqs):
+        freq, se = _fmt(freqs[k], p), _fmt(ses[k], p)
         rows.append([str(k), str(report.counts[k]), freq, se])
         lines.append(f"decision {k}: freq {freq} +- {se} ({report.counts[k]} trials)")
     wrong = _fmt(report.wrong_rejection_rate, p)

@@ -43,7 +43,8 @@ import math
 import operator
 from collections import namedtuple
 
-from .distributions import NullDistribution, _check_alpha, _check_finite, quantile
+from .distributions import NullDistribution, quantile
+from .distributions import _check_alpha, _check_finite, _check_null
 from .stattests import TestResult
 
 __all__ = [
@@ -157,7 +158,7 @@ class DecisionRegions(namedtuple("DecisionRegions", "alpha boundaries null")):
 
 
 @functools.lru_cache(maxsize=512)
-def decision_regions(null: NullDistribution, alpha: float) -> DecisionRegions:
+def _regions(null: NullDistribution, alpha: float) -> DecisionRegions:
     # Cached: the result is immutable and every engine reads it.  The
     # lower two mirror the upper two; 0.0 - q keeps +0.0 at alpha = 0.5.
     alpha = _check_alpha(alpha)
@@ -165,6 +166,22 @@ def decision_regions(null: NullDistribution, alpha: float) -> DecisionRegions:
     q4 = quantile(null, 1.0 - alpha / 2.0)
     boundaries = (0.0 - q4, 0.0 - q3, q3, q4)
     return DecisionRegions(alpha=alpha, boundaries=boundaries, null=null)
+
+
+def decision_regions(null: NullDistribution, alpha: float) -> DecisionRegions:
+    # The null is checked before the cache lookup (see _check_null), and a
+    # lookup that cannot hash alpha gets the alpha check's own message.
+    _check_null(null)
+    try:
+        return _regions(null, alpha)
+    except TypeError:
+        _check_alpha(alpha)
+        raise
+
+
+# The one cache's counters and reset, which count every lookup.
+decision_regions.cache_info = _regions.cache_info
+decision_regions.cache_clear = _regions.cache_clear
 
 
 # The tie rule: whether a statistic equal to boundary q1, q2, q3 or q4

@@ -20,8 +20,8 @@ Each solve is kept per (null, p) in a bounded cache, and Student t takes
 0 < df <= 2**53.
 
 Every module checks its input with the private checks below, so each
-rule (number, finite, positive, integer, probability) has one ValueError
-message:
+rule (number, finite, positive, integer, probability, null) has one
+ValueError message:
 
     {name} must be a number, got {value!r}
     {name} must be finite, got {value!r}
@@ -30,10 +30,13 @@ message:
     {name} must be at least {low}, got {value}
     {name} must lie in (0, 1), got {value!r}
     {name} {value!r} is too small: 1 - {name} rounds to 1
+    null must be a NullDistribution, got {value!r}
 
-All convert by one _number, which reads an int beyond the float range as
-+-inf, as float("1e400") does, so the rule's range message refuses it;
-the "at least" message prints such an int as -inf too.
+The number checks convert by one _number, which reads an int beyond the
+float range as +-inf, as float("1e400") does, so the rule's range message
+refuses it; the "at least" message prints such an int as -inf too.  cdf,
+density, quantile and decisions.decision_regions check their null before
+they read it or look it up in a cache.
 
 The checked records (NullDistribution here, and those of stattests, power
 and simulation) derive from _Checked, whose one _make runs their checks
@@ -188,6 +191,13 @@ def student_t(df: float) -> NullDistribution:
 _NORMAL = standard_normal()
 
 
+def _check_null(d: object) -> None:
+    # Run before any cache lookup: a plain tuple equal to a null hashes as
+    # it does, so the lookup alone would answer for it once the null is cached.
+    if not isinstance(d, NullDistribution):
+        raise ValueError(f"null must be a NullDistribution, got {d!r}")
+
+
 def _lgamma_half_shift(a: float) -> float:
     # lgamma(a + 1/2) - lgamma(a).  The direct difference of two lgamma
     # calls carries ~a*log(a)*eps of absolute error (1e-13 at a = 150),
@@ -314,12 +324,14 @@ def _cornish_fisher(df: float, z: float) -> float:
 
 def cdf(d: NullDistribution, t: float) -> float:
     """P(T <= t) under the null distribution ``d``."""
+    _check_null(d)
     t = _check_finite(t, "t")
     return _upper_tail(d, -t)[0] if t < 0.0 else 1.0 - _upper_tail(d, t)[0]
 
 
 def density(d: NullDistribution, t: float) -> float:
     """Probability density of ``d`` at ``t``."""
+    _check_null(d)
     t = _check_finite(t, "t")
     if d.kind is Kind.STANDARD_NORMAL:
         return _INV_SQRT_2PI * math.exp(-0.5 * t * t)
@@ -334,6 +346,7 @@ def quantile(d: NullDistribution, p: float) -> float:
     Symmetry is built in: quantile(p) for p below one half is computed
     as the negated mirror, so quantile(p) == -quantile(1 - p) exactly.
     """
+    _check_null(d)
     p = _check_probability(p, "p")
     # 1 - p rounds to 1/2 at p = 1/2 and at the float just below it.
     upper = max(p, 1.0 - p)

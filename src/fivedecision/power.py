@@ -21,7 +21,9 @@ import warnings
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .decisions import _TARGETS, Hypothesis, _holds, decision_regions
+# power reads the cached region solve directly: it passes only the standard
+# normal and checked alphas, so it skips decision_regions' null check.
+from .decisions import _TARGETS, Hypothesis, _holds, _regions
 from .distributions import _NORMAL, _Checked, _check_alpha, _check_finite, cdf, quantile
 from .distributions import _check_positive, _check_probability
 
@@ -92,7 +94,7 @@ def power_wald(spec: PowerSpec) -> float:
         msg = f"rejecting {spec.target.value} is a wrong rejection at effect {spec.effect}"
         warnings.warn(f"{msg}: theta {spec.target.comparator} theta0 holds there", stacklevel=2)
     i = _TARGETS.index(spec.target)
-    q = decision_regions(_NORMAL, spec.alpha).boundaries[i]
+    q = _regions(_NORMAL, spec.alpha).boundaries[i]
     if i < 2:
         return cdf(_NORMAL, q - spec.effect)
     return cdf(_NORMAL, spec.effect - q)
@@ -100,7 +102,7 @@ def power_wald(spec: PowerSpec) -> float:
 
 def _z_sum(inputs: SampleSizeInputs, strict: bool) -> float:
     # z_{1-a} + z_psi for the strict target, z_{1-a/2} + z_psi otherwise.
-    q = decision_regions(_NORMAL, inputs.alpha).boundaries[2 if strict else 3]
+    q = _regions(_NORMAL, inputs.alpha).boundaries[2 if strict else 3]
     z_sum = q + quantile(_NORMAL, inputs.psi)
     if z_sum <= 0.0:
         # Otherwise the formula asks for a nonpositive sample.

@@ -94,27 +94,40 @@ class SimulationConfig(
         )
 
 
-class SimulationReport(
-    namedtuple(
-        "SimulationReport",
-        "config counts freq mc_se wrong_rejection_rate wrong_rejection_mc_se",
-    )
-):
-    """counts, freq and mc_se map each verdict of the procedure to its
-    count, frequency and Monte Carlo standard error."""
+def _binomial_se(freq: float, trials: int) -> float:
+    return math.sqrt(freq * (1.0 - freq) / trials)
+
+
+class SimulationReport(namedtuple("SimulationReport", "config counts")):
+    """counts maps each verdict of the procedure to its count; freq and
+    mc_se, computed from it, to its frequency and Monte Carlo SE."""
 
     __slots__ = ()
 
+    @property
+    def freq(self) -> dict:
+        return {k: c / self.config.trials for k, c in self.counts.items()}
+
+    @property
+    def mc_se(self) -> dict:
+        return {k: _binomial_se(f, self.config.trials) for k, f in self.freq.items()}
+
+    @property
+    def wrong_rejection_rate(self) -> float:
+        cfg = self.config
+        wrong = _wrong_indices(cfg.procedure, cfg.mean_diff_over_sigma)
+        return sum(self.counts[k] for k in wrong) / cfg.trials
+
+    @property
+    def wrong_rejection_mc_se(self) -> float:
+        return _binomial_se(self.wrong_rejection_rate, self.config.trials)
+
     def to_dict(self) -> dict:
         """JSON-ready form; keys are stable and values full precision."""
+        config = {**self.config._asdict(), "procedure": self.config.procedure.value}
         return {
             "schema_version": 3,
-            "procedure": self.config.procedure.value,
-            "n_per_group": self.config.n_per_group,
-            "mean_diff_over_sigma": self.config.mean_diff_over_sigma,
-            "alpha": self.config.alpha,
-            "trials": self.config.trials,
-            "seed": self.config.seed,
+            **config,
             "counts": {str(k): v for k, v in self.counts.items()},
             "freq": {str(k): v for k, v in self.freq.items()},
             "mc_se": {str(k): v for k, v in self.mc_se.items()},
@@ -250,19 +263,4 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
     counts = dict.fromkeys(cfg.procedure.index_set, 0)
     for region, count in enumerate(regions, 1):
         counts[merge[region]] += count
-    freq = {k: counts[k] / cfg.trials for k in counts}
-    mc_se = {
-        k: math.sqrt(freq[k] * (1.0 - freq[k]) / cfg.trials) for k in counts
-    }
-    wrong = _wrong_indices(cfg.procedure, cfg.mean_diff_over_sigma)
-    wrong_count = sum(counts[k] for k in wrong)
-    wrong_rate = wrong_count / cfg.trials
-    wrong_se = math.sqrt(wrong_rate * (1.0 - wrong_rate) / cfg.trials)
-    return SimulationReport(
-        config=cfg,
-        counts=counts,
-        freq=freq,
-        mc_se=mc_se,
-        wrong_rejection_rate=wrong_rate,
-        wrong_rejection_mc_se=wrong_se,
-    )
+    return SimulationReport(cfg, counts)

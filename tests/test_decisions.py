@@ -22,7 +22,15 @@ from fivedecision.decisions import (
     jones_tukey_decision,
     kaiser_decision,
 )
-from fivedecision.distributions import quantile, standard_normal, student_t
+from fivedecision import distributions
+from fivedecision.distributions import (
+    Kind,
+    cdf,
+    density,
+    quantile,
+    standard_normal,
+    student_t,
+)
 from fivedecision.power import PowerSpec, SampleSizeInputs, power_wald, sample_size
 from fivedecision.stattests import (
     GroupSummary,
@@ -391,6 +399,80 @@ class TestBoundariesSolvedOnce:
         for null in (NORMAL, T18):
             _, q2, q3, _ = decision_regions(null, 0.5).boundaries
             assert math.copysign(1.0, q2) == math.copysign(1.0, q3) == 1.0
+
+
+T3 = student_t(3)
+ENGINES = {
+    "five_decision": five_decision,
+    "kaiser_decision": kaiser_decision,
+    "jones_tukey_decision": jones_tukey_decision,
+    "five_decision_via_three_tests": five_decision_via_three_tests,
+}
+# Each takes a null in place of T3 (or CHICK's null) at alpha 0.05.
+NULL_CALLS = {
+    "decision_regions": lambda null: decision_regions(null, 0.05),
+    **{
+        name: lambda null, engine=engine: engine(2.5, null, 0.05)
+        for name, engine in ENGINES.items()
+    },
+    "five_decision_via_ci": lambda null: five_decision_via_ci(
+        CHICK._replace(null=null), 0.0, 0.05
+    ),
+    "quantile": lambda null: quantile(null, 0.9),
+    "cdf": lambda null: cdf(null, 1.0),
+    "density": lambda null: density(null, 1.0),
+}
+ALPHA_CALLS = {
+    "decision_regions": lambda alpha: decision_regions(T3, alpha),
+    **{
+        name: lambda alpha, engine=engine: engine(2.5, T3, alpha)
+        for name, engine in ENGINES.items()
+    },
+}
+
+
+class TestInputsCheckedBeforeTheCaches:
+    """A null that is not a NullDistribution, and an alpha that cannot
+    be hashed, meet their rule's ValueError whether or not the caches
+    hold an equal T3 entry: the outcome never depends on their history."""
+
+    @pytest.fixture(params=["cold", "warm"])
+    def caches(self, request):
+        decision_regions.cache_clear()
+        distributions._upper_quantile.cache_clear()
+        if request.param == "warm":
+            decision_regions(T3, 0.05)
+            quantile(T3, 0.9)
+
+    # The tuple equals T3 and hashes as it does, so a cache keyed by T3
+    # would answer for it.
+    @pytest.mark.parametrize(
+        "null", ["t", None, (Kind.STUDENT_T, 3.0)], ids=["str", "None", "tuple"]
+    )
+    @pytest.mark.parametrize("call", NULL_CALLS)
+    def test_null_that_is_not_a_null_distribution(self, caches, call, null):
+        with pytest.raises(ValueError) as exc:
+            NULL_CALLS[call](null)
+        assert str(exc.value) == f"null must be a NullDistribution, got {null!r}"
+
+    @pytest.mark.parametrize("call", ALPHA_CALLS)
+    def test_unhashable_alpha(self, caches, call):
+        with pytest.raises(ValueError) as exc:
+            ALPHA_CALLS[call]([0.05])
+        assert str(exc.value) == "alpha must be a number, got [0.05]"
+
+    def test_the_cache_counts_every_lookup(self):
+        # The traced benchmark reads decision_regions.cache_info() to
+        # tag each call cold or warm, and clears the cache before a run.
+        decision_regions.cache_clear()
+        decision_regions(T3, 0.05)
+        info = decision_regions.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
+        decision_regions(T3, 0.05)
+        assert decision_regions.cache_info().hits == 1
+        five_decision(2.5, T3, 0.05)
+        info = decision_regions.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
 
 
 class TestNestedIntervals:

@@ -22,6 +22,7 @@ from scipy import stats
 import fivedecision.decisions
 import fivedecision.simulation
 from fivedecision.decisions import (
+    _wrong_indices,
     decision_regions,
     five_decision,
     jones_tukey_decision,
@@ -282,6 +283,31 @@ class TestReportShape:
             warnings.simplefilter("error")
             report = run_simulation(cfg, workers=workers)
         assert report.counts[decision] == cfg.trials
+
+    def test_only_config_and_counts_are_stored(self):
+        assert SimulationReport._fields == ("config", "counts")
+
+    @pytest.mark.parametrize(
+        "procedure, counts",
+        [
+            (Procedure.FIVE_DECISION, {1: 9, 2: 1, 3: 30, 4: 2, 5: 8}),
+            (Procedure.KAISER, {1: 2, 3: 35, 5: 13}),
+            (Procedure.JONES_TUKEY, {2: 21, 3: 25, 4: 4}),
+        ],
+    )
+    def test_every_derived_value_is_read_off_the_counts(self, procedure, counts):
+        # A report whose counts are replaced reports their frequencies,
+        # standard errors and wrong-side rate, not the run's.
+        cfg = BASE._replace(trials=50, mean_diff_over_sigma=0.3, procedure=procedure)
+        report = run_simulation(cfg)._replace(counts=counts)
+        freq = {k: c / 50 for k, c in counts.items()}
+        assert report.freq == freq
+        assert report.mc_se == {k: math.sqrt(f * (1.0 - f) / 50) for k, f in freq.items()}
+        rate = sum(counts[k] for k in _wrong_indices(procedure, 0.3)) / 50
+        assert rate > 0.0
+        assert report.wrong_rejection_rate == rate
+        assert report.wrong_rejection_mc_se == math.sqrt(rate * (1.0 - rate) / 50)
+        assert report.to_dict()["freq"] == {str(k): f for k, f in freq.items()}
 
     def test_to_dict_schema(self):
         d = run_simulation(BASE._replace(trials=50)).to_dict()
