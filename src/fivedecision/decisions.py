@@ -43,8 +43,8 @@ import math
 import operator
 from collections import namedtuple
 
-from .distributions import NullDistribution, quantile
-from .distributions import _check_alpha, _check_finite, _check_null
+from .distributions import NullDistribution
+from .distributions import _check_alpha, _check_finite, _check_null, _upper_quantile
 from .stattests import TestResult
 
 __all__ = [
@@ -160,12 +160,15 @@ class DecisionRegions(namedtuple("DecisionRegions", "alpha boundaries null")):
 @functools.lru_cache(maxsize=512)
 def _regions(null: NullDistribution, alpha: float) -> DecisionRegions:
     # Cached: the result is immutable and every engine reads it.  The
-    # lower two mirror the upper two; 0.0 - q keeps +0.0 at alpha = 0.5.
+    # caller has checked the null, and the alpha check leaves 1 - a/2 in
+    # (1/2, 1) and 1 - a in [1/2, 1), so the upper quantiles are read
+    # directly, with quantile's 0 where 1 - a rounds to 1/2.  The lower two
+    # mirror the upper two; 0.0 - q keeps +0.0 at alpha = 0.5.
     alpha = _check_alpha(alpha)
-    q3 = quantile(null, 1.0 - alpha)
-    q4 = quantile(null, 1.0 - alpha / 2.0)
-    boundaries = (0.0 - q4, 0.0 - q3, q3, q4)
-    return DecisionRegions(alpha=alpha, boundaries=boundaries, null=null)
+    p = 1.0 - alpha
+    q3 = _upper_quantile(null, p) if p > 0.5 else 0.0
+    q4 = _upper_quantile(null, 1.0 - alpha / 2.0)
+    return DecisionRegions(alpha, (0.0 - q4, 0.0 - q3, q3, q4), null)
 
 
 def decision_regions(null: NullDistribution, alpha: float) -> DecisionRegions:
@@ -235,7 +238,13 @@ def _merged_decision(
     procedure: Procedure, t_stat: float, null: NullDistribution, alpha: float
 ) -> Decision:
     t_stat = _check_finite(t_stat, "t_stat")
-    q1, q2, q3, q4 = decision_regions(null, alpha).boundaries
+    # decision_regions' checks, inlined: the engines run on every request.
+    _check_null(null)
+    try:
+        q1, q2, q3, q4 = _regions(null, alpha).boundaries
+    except TypeError:
+        _check_alpha(alpha)
+        raise
     # _TIES_UP written out, as the scalar engines run this on every call.
     index = 1 + (t_stat >= q1) + (t_stat >= q2) + (t_stat > q3) + (t_stat > q4)
     return _DECISIONS[_MERGE[procedure][index] - 1]

@@ -17,7 +17,9 @@ median of 1 and at most 21; one for p < 1/2 is its negated mirror.
 It raises OverflowError when the quantile lies beyond the float range
 (Student t at small df) and ArithmeticError when it does not converge.
 Each solve is kept per (null, p) in a bounded cache, and Student t takes
-0 < df <= 2**53.
+0 < df <= 2**53.  student_t returns one interned null per df, and the t
+tail and density read their df-only constants (df/2, sqrt(df) and the
+log of the tail's prefactor) from one cache per df; both hold 1024.
 
 Every module checks its input with the private checks below, so each
 rule (number, finite, positive, integer, probability, null) has one
@@ -79,6 +81,8 @@ _MAX_DF = 2.0**53
 # Student t solves from this df on start at the Cornish-Fisher expansion.
 _CF_MIN_DF = 4.0
 _MAX_TERMS = 100
+# A term below this fraction of a series' sum is below half its ulp.
+_HALF_ULP = 2.0**-54
 
 
 def _number(x: object, name: str) -> float:
@@ -185,7 +189,19 @@ def standard_normal() -> NullDistribution:
 
 
 def student_t(df: float) -> NullDistribution:
-    return NullDistribution(Kind.STUDENT_T, df)
+    # One interned null per df, so a request's null is built once and every
+    # cache keyed by it compares by identity.  A df that cannot be hashed
+    # meets the constructor, and so _number's message, uncached.
+    try:
+        return _interned_t(Kind.STUDENT_T, df)
+    except TypeError:
+        return NullDistribution(Kind.STUDENT_T, df)
+
+
+# The cached constructor.  Its key (kind, df) equals and hashes as (kind,
+# float(df)), so 18, 18.0 and numpy.int64(18) share an entry.  Errors are
+# not cached.
+_interned_t = functools.lru_cache(maxsize=1024)(NullDistribution)
 
 
 _NORMAL = standard_normal()
@@ -213,6 +229,14 @@ def _lgamma_half_shift(a: float) -> float:
     d -= (a**-5 - b**-5) / 1260.0
     d += (a**-7 - b**-7) / 1680.0
     return d
+
+
+# The df-only parts of every t tail and density: a = df/2, sqrt(df) and
+# ln of the prefactor's Gamma(a + 1/2) / (Gamma(a) sqrt(pi)).
+@functools.lru_cache(maxsize=1024)
+def _t_constants(df: float) -> tuple[float, float, float]:
+    a = 0.5 * df
+    return a, math.sqrt(df), _lgamma_half_shift(a) - _LN_SQRT_PI
 
 
 def _fraction(a: float, x: float) -> float:
@@ -255,28 +279,44 @@ def _series(a: float, x: float) -> float:
     # where it needs at most 77 terms (df ~13 with x -> 1/2).  Every term is
     # positive, and the ratio of term k + 1 to term k, (a + 1/2 + k)/(3/2 +
     # k) x, moves monotonically toward x < 1.  While the terms rise each is
-    # at least the mean of those before it, so one below 1e-17 of the sum
+    # at least the mean of those before it, so one below 2**-54 of the sum
     # comes after they started to fall.  The ratios then stay below r =
     # max(next ratio, x) < 1 (at most 0.54 where the tail calls it), and the
-    # rest of the sum is below that term times r/(1 - r) <= 1.2.  _MAX_TERMS
-    # is a hard safety stop.
+    # rest of the sum is below that term times r/(1 - r) <= 1.2.  The term
+    # is below half an ulp of the sum, and so is every later one, so adding
+    # them leaves the sum as it is: the loop tests every fourth term only,
+    # and returns the float a test after each term would.  _MAX_TERMS is a
+    # hard safety stop.
     n = a + 0.5
     d = 1.5
     s = term = 1.0
-    for _ in range(_MAX_TERMS):
+    for _ in range(_MAX_TERMS // 4):
         term *= x * n / d
         s += term
-        if term < 1e-17 * s:
+        n += 1.0
+        d += 1.0
+        term *= x * n / d
+        s += term
+        n += 1.0
+        d += 1.0
+        term *= x * n / d
+        s += term
+        n += 1.0
+        d += 1.0
+        term *= x * n / d
+        s += term
+        if term < _HALF_ULP * s:
             return s
         n += 1.0
         d += 1.0
     raise ArithmeticError(f"hypergeometric series did not converge (a={a}, x={x})")
 
 
-def _beta_logs(t: float, df: float) -> tuple[float, float]:
-    # ln x and ln(1 - x) for x = df/(df + t^2) = 1/(1 + u^2), u = |t|/sqrt(df),
-    # formed from u so that nothing overflows; ln(1 - x) is -inf at u = 0.
-    u = abs(t) / math.sqrt(df)
+def _beta_logs(t: float, df: float, root: float) -> tuple[float, float]:
+    # ln x and ln(1 - x) for x = df/(df + t^2) = 1/(1 + u^2), u = |t|/root,
+    # root = sqrt(df), formed from u so that nothing overflows; ln(1 - x) is
+    # -inf at u = 0.
+    u = abs(t) / root
     if u < 1.0:
         ln_x = -math.log1p(u * u)
         return ln_x, (2.0 * math.log(u) + ln_x if u > 0.0 else -math.inf)
@@ -298,9 +338,10 @@ def _upper_tail(d: NullDistribution, t: float) -> tuple[float, float]:
     if d.kind is Kind.STANDARD_NORMAL:
         tail = 0.5 * math.erfc(t / _SQRT2)
         return tail, (t * _INV_SQRT_2PI * math.exp(-0.5 * t * t) / tail if tail else math.inf)
-    a, b = 0.5 * d.df, 0.5
-    ln_x, ln_xc = _beta_logs(t, d.df)
-    front = math.exp(_lgamma_half_shift(a) - _LN_SQRT_PI + a * ln_x + b * ln_xc)
+    b = 0.5
+    a, root, ln_c = _t_constants(d.df)
+    ln_x, ln_xc = _beta_logs(t, d.df, root)
+    front = math.exp(ln_c + a * ln_x + b * ln_xc)
     xc = math.exp(ln_xc)
     if xc >= 0.5 or xc * (a + b + 2.0) >= 3.0 * (b + 1.0):
         cf = _fraction(a, -math.exp(ln_x - ln_xc))
@@ -336,8 +377,9 @@ def density(d: NullDistribution, t: float) -> float:
     if d.kind is Kind.STANDARD_NORMAL:
         return _INV_SQRT_2PI * math.exp(-0.5 * t * t)
     df = d.df
-    ln_c = _lgamma_half_shift(0.5 * df) - _LN_SQRT_PI - 0.5 * math.log(df)
-    return math.exp(ln_c + 0.5 * (df + 1.0) * _beta_logs(t, df)[0])
+    _, root, ln_c = _t_constants(df)
+    ln_c -= 0.5 * math.log(df)
+    return math.exp(ln_c + 0.5 * (df + 1.0) * _beta_logs(t, df, root)[0])
 
 
 def quantile(d: NullDistribution, p: float) -> float:

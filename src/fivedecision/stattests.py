@@ -17,9 +17,9 @@ import operator
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .distributions import NullDistribution, quantile, student_t
-from .distributions import _NORMAL, _Checked, _check_finite, _check_int, _check_positive
-from .distributions import _number, _upper_tail
+from .distributions import NullDistribution, student_t
+from .distributions import _NORMAL, _Checked, _check_finite, _check_int, _check_null
+from .distributions import _check_positive, _number, _upper_quantile, _upper_tail
 
 __all__ = [
     "DegenerateDataError",
@@ -66,7 +66,7 @@ def _result(estimate: float, se: float, theta0: float, null: NullDistribution) -
     if not math.isfinite(t_stat):
         raise ValueError(f"the test statistic overflows (estimate {estimate!r}, se {se!r})")
     p = 2.0 * _upper_tail(null, abs(t_stat))[0]
-    return TestResult(t_stat=t_stat, null=null, p_two_sided=p, estimate=estimate, se=se)
+    return TestResult(t_stat, null, p, estimate, se)
 
 
 def two_sample_t(a: GroupSummary, b: GroupSummary, theta0: float = 0.0) -> TestResult:
@@ -180,5 +180,9 @@ def confidence_interval(r: TestResult, level: float) -> tuple[float, float]:
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
     if 1.0 + level == 2.0:
         raise ValueError(f"level {level!r} is too close to 1: (1 + level)/2 rounds to 1")
-    q = quantile(r.null, 0.5 * (1.0 + level))
+    # The checks leave p in [1/2, 1), so the upper quantile is read
+    # directly, with quantile's 0 at 1/2.
+    _check_null(r.null)
+    p = 0.5 * (1.0 + level)
+    q = _upper_quantile(r.null, p) if p > 0.5 else 0.0
     return (r.estimate - q * r.se, r.estimate + q * r.se)

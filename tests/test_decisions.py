@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fivedecision import decisions, power, stattests
+from fivedecision import decisions, stattests
 from fivedecision.cli import main
 from fivedecision.decisions import (
     Decision,
@@ -354,20 +354,28 @@ class TestBoundariesSolvedOnce:
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        calls = []
+        # The (null, p) of each quantile solve, i.e. each miss of the
+        # quantile cache, however the caller reaches it, in the order the
+        # solves finish: a t solve's normal start comes before it.
+        solved = []
+        cached = distributions._upper_quantile
 
-        def counting_quantile(null, p):
-            calls.append(p)
-            return quantile(null, p)
+        def recording(null, p):
+            misses = cached.cache_info().misses
+            q = cached(null, p)
+            if cached.cache_info().misses > misses:
+                solved.append((null, p))
+            return q
 
-        for module in (decisions, power, stattests):
-            monkeypatch.setattr(module, "quantile", counting_quantile)
+        for module in (distributions, decisions, stattests):
+            monkeypatch.setattr(module, "_upper_quantile", recording)
         decision_regions.cache_clear()
-        return calls
+        cached.cache_clear()
+        return solved
 
     def test_cold_regions_solve_two_quantiles(self, solves):
         decision_regions(T18, 0.05)
-        assert solves == [0.95, 0.975]
+        assert solves == [(NORMAL, 0.95), (T18, 0.95), (NORMAL, 0.975), (T18, 0.975)]
 
     def test_warm_consumers_solve_nothing(self, solves, capsys):
         decision_regions(T18, 0.05)
@@ -386,7 +394,7 @@ class TestBoundariesSolvedOnce:
         decision_regions(NORMAL, 0.05)
         solves.clear()
         sample_size(SampleSizeInputs(alpha=0.05, psi=0.8, delta=1.0, tau=1.0))
-        assert solves == [0.8]
+        assert solves == [(NORMAL, 0.8)]
 
     @pytest.mark.parametrize("null", [NORMAL, T18, student_t(1), student_t(1e6)])
     def test_lower_boundaries_mirror_the_upper_bitwise(self, null):

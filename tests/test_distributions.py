@@ -617,6 +617,50 @@ class TestQuantileCache:
             assert (wide, narrow) == regions.nested_intervals(r.estimate, r.se)
 
 
+class TestPerDfCaches:
+    # student_t interns one null per df, and the t tail and density read
+    # their df-only constants from one cache per df.
+
+    def test_one_null_per_df(self):
+        assert student_t(18) is student_t(18.0) is student_t(np.int64(18))
+        assert student_t(18) == NullDistribution(Kind.STUDENT_T, 18.0)
+
+    @pytest.mark.parametrize(
+        "df, message",
+        [
+            ([18], "df must be a number, got [18]"),
+            ("x", "df must be a number, got 'x'"),
+            (0, "StudentT requires 0 < df <= 2**53, got 0.0"),
+            (math.nan, "StudentT requires 0 < df <= 2**53, got nan"),
+            (2**53 + 2, "StudentT requires 0 < df <= 2**53, got 9007199254740994.0"),
+            (10**400, "StudentT requires 0 < df <= 2**53, got inf"),
+        ],
+    )
+    def test_refused_df_keeps_its_message_and_is_not_cached(self, df, message):
+        info = distributions._interned_t.cache_info
+        size = info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                student_t(df)
+            assert str(exc.value) == message
+        assert info().currsize == size
+
+    @pytest.mark.parametrize("cache", ["_interned_t", "_t_constants"])
+    def test_bounded(self, cache):
+        info = getattr(distributions, cache).cache_info
+        for k in range(info().maxsize + 100):
+            cdf(student_t(1.0 + k / 8), 1.5)
+        assert info().currsize == info().maxsize == 1024
+
+    def test_tail_unchanged_after_a_clear(self):
+        points = [(df, t) for df in (0.5, 3.0, 18.0, 1e6) for t in (0.0, 0.7, 3.2, 40.0)]
+        first = [distributions._upper_tail(student_t(df), t) for df, t in points]
+        distributions._interned_t.cache_clear()
+        distributions._t_constants.cache_clear()
+        again = [distributions._upper_tail(student_t(df), t) for df, t in points]
+        assert [(a.hex(), b.hex()) for a, b in first] == [(a.hex(), b.hex()) for a, b in again]
+
+
 SLOPE_DISTS = [standard_normal()] + [
     student_t(df) for df in (1e-3, 0.05, 0.5, 1, 2, 5, 18, 98, 1e4, 1e6, 1e9)
 ]
