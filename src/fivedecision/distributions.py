@@ -216,14 +216,21 @@ def _check_null(d: object) -> None:
 
 def _lgamma_half_shift(a: float) -> float:
     # lgamma(a + 1/2) - lgamma(a).  The direct difference of two lgamma
-    # calls carries ~a*log(a)*eps of absolute error (1e-13 at a = 150),
-    # which the t tail's complement form amplifies, so from a = 20 on it
-    # is the difference of two Stirling series to the 1/(1680 a^7) term,
-    # within ~1e-15 of the exact value there.
-    if a < 20.0:
+    # calls carries ~a*log(a)*eps of absolute error (1.4e-14 at a = 19,
+    # 1e-13 at a = 150), which the t tail's complement form amplifies, so
+    # from a = 20 on it is the difference of two Stirling series to the
+    # 1/(1680 a^7) term, within ~1e-15 of the exact value there.  From
+    # a = 1 it reaches them by the recurrence f(a) = f(a + 1) -
+    # log1p(1/(2a)), within 1.1e-15 of mpmath over 1 <= a < 20; below
+    # a = 1 the direct difference is the more accurate.
+    if a < 1.0:
         return math.lgamma(a + 0.5) - math.lgamma(a)
+    d = 0.0
+    while a < 20.0:
+        d -= math.log1p(0.5 / a)
+        a += 1.0
     b = a + 0.5
-    d = 0.5 * math.log(a) + a * math.log1p(0.5 / a) - 0.5
+    d += 0.5 * math.log(a) + a * math.log1p(0.5 / a) - 0.5
     d -= 1.0 / (24.0 * a * b)
     d += (a**-3 - b**-3) / 360.0
     d -= (a**-5 - b**-5) / 1260.0

@@ -680,6 +680,27 @@ class TestLgammaHalfShift:
                 got = distributions._lgamma_half_shift(a)
                 assert got == pytest.approx(float(ref), rel=1e-15, abs=0.0)
 
+    def test_recurrence_branch_matches_mpmath(self):
+        # 400 linearly spaced a from 1 up to the Stirling branch, reached by
+        # f(a) = f(a + 1) - log1p(1/(2a)); the error that matters to the
+        # tail is absolute, as the prefactor is exp(f).
+        with mpmath.workdps(40):
+            for a in np.linspace(1.0, 20.0, 400, endpoint=False):
+                a = float(a)
+                ref = mpmath.loggamma(mpmath.mpf(a) + 0.5) - mpmath.loggamma(a)
+                assert distributions._lgamma_half_shift(a) == pytest.approx(float(ref), rel=0.0, abs=1.2e-15)
+
+    def test_tail_below_df_40_matches_mpmath(self):
+        # A 40 by 12 log grid of df 1 to 40 by tails 1e-4 to 3e-2, t from
+        # scipy's t.isf: there the complement form multiplies the
+        # prefactor's error by up to ~300, and a direct lgamma difference
+        # put tails 2.5e-12 off.
+        for df in np.logspace(0.0, np.log10(40.0), 40):
+            df = float(df)
+            for tail in np.logspace(-4.0, np.log10(3e-2), 12):
+                t = float(stats.t.isf(tail, df))
+                assert cdf(student_t(df), -t) == pytest.approx(_mpmath_t_tail(df, t), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("df, t", [(290.0, 3.003), (367.84, 3.0057), (196.3, 3.0053)])
     def test_tail_below_the_pfaff_switch(self, df, t):
         # Tails near 1.5e-3, read from the complement form; a direct
@@ -749,16 +770,17 @@ class TestSeries:
     @pytest.mark.parametrize(
         "df, t, rel",
         [
-            (13.5, 3.55, 2.6e-12),
-            (30.0, 3.2, 2.6e-12),
-            (34.30469286314919, 3.172943779132195, 2.6e-12),
+            (13.5, 3.55, 1e-12),
+            (30.0, 3.2, 1e-12),
+            (34.30469286314919, 3.172943779132195, 1e-12),
+            (28.48035868435802, 3.222268317942446, 1e-12),
             (486.0, 2.965, 1.3e-12),
             (739.0722033525775, 2.97767369372533, 1.3e-12),
         ],
     )
     def test_readme_worst_points(self, df, t, rel):
-        # The worst points README names for its two 100 x 100 grids (df 1 to
-        # 100 and 100 to 1000 by tails 1e-4 to 3e-2), at its bounds for them.
+        # The points README names for its two 100 x 100 grids (df 1 to 100
+        # and 100 to 1000 by tails 1e-4 to 3e-2), at its bounds for them.
         ref = _mpmath_t_tail(df, t)
         assert distributions._upper_tail(student_t(df), t)[0] == pytest.approx(ref, rel=rel, abs=0.0)
 
