@@ -160,10 +160,10 @@ class DecisionRegions(namedtuple("DecisionRegions", "alpha boundaries null")):
 @functools.lru_cache(maxsize=512)
 def _regions(null: NullDistribution, alpha: float) -> DecisionRegions:
     # Cached: the result is immutable and every engine reads it.  The
-    # caller has checked the null, and the alpha check leaves 1 - a/2 in
-    # (1/2, 1) and 1 - a in [1/2, 1), so the upper quantiles are read
-    # directly, with quantile's 0 where 1 - a rounds to 1/2.  The lower two
-    # mirror the upper two; 0.0 - q keeps +0.0 at alpha = 0.5.
+    # caller has checked the null and the alpha check keeps 1 - a/2 below
+    # 1, so the upper quantiles are read directly, with quantile's 0 where
+    # 1 - a rounds to 1/2.  The lower two mirror the upper two; 0.0 - q
+    # keeps +0.0 at alpha = 0.5.
     alpha = _check_alpha(alpha)
     p = 1.0 - alpha
     q3 = _upper_quantile(null, p) if p > 0.5 else 0.0

@@ -180,7 +180,7 @@ def confidence_interval(r: TestResult, level: float) -> tuple[float, float]:
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
     if 1.0 + level == 2.0:
         raise ValueError(f"level {level!r} is too close to 1: (1 + level)/2 rounds to 1")
-    # The checks leave p in [1/2, 1), so the upper quantile is read
+    # The level checks keep p in [1/2, 1), so the upper quantile is read
     # directly, with quantile's 0 at 1/2.
     _check_null(r.null)
     p = 0.5 * (1.0 + level)
