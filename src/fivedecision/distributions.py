@@ -198,9 +198,8 @@ def student_t(df: float) -> NullDistribution:
         return NullDistribution(Kind.STUDENT_T, df)
 
 
-# The cached constructor.  Its key (kind, df) equals and hashes as (kind,
-# float(df)), so 18, 18.0 and numpy.int64(18) share an entry.  Errors are
-# not cached.
+# The cached constructor.  A numeric df equals and hashes as its float, so
+# 18, 18.0 and numpy.int64(18) share an entry.  Errors are not cached.
 _interned_t = functools.lru_cache(maxsize=1024)(NullDistribution)
 
 
