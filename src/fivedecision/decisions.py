@@ -215,6 +215,13 @@ _MERGE = {
 }
 
 
+# The members the engines pass on every call, read once (see
+# distributions._STUDENT_T).
+_FIVE_DECISION = Procedure.FIVE_DECISION
+_KAISER = Procedure.KAISER
+_JONES_TUKEY = Procedure.JONES_TUKEY
+
+
 def _wrong_indices(procedure: Procedure, effect: float) -> tuple[int, ...]:
     # Verdicts that misstate the true side of the effect: the merged
     # regions that reject a hypothesis true at it.  At zero effect the
@@ -252,7 +259,7 @@ def _merged_decision(
 
 def five_decision(t_stat: float, null: NullDistribution, alpha: float) -> Decision:
     """Classify a statistic into one of the five decisions."""
-    return _merged_decision(Procedure.FIVE_DECISION, t_stat, null, alpha)
+    return _merged_decision(_FIVE_DECISION, t_stat, null, alpha)
 
 
 def five_decision_via_three_tests(
@@ -306,7 +313,7 @@ def kaiser_decision(t_stat: float, null: NullDistribution, alpha: float) -> Deci
     """Directional two-sided verdict: both one-sided tests at level
     alpha/2, so only decisions 1, 3, and 5 can occur.  Equals the
     five-decision verdict with regions {2, 3, 4} merged into 3."""
-    return _merged_decision(Procedure.KAISER, t_stat, null, alpha)
+    return _merged_decision(_KAISER, t_stat, null, alpha)
 
 
 def jones_tukey_decision(
@@ -317,4 +324,4 @@ def jones_tukey_decision(
     occur.  Equals the five-decision verdict with {1, 2} merged into 2
     and {4, 5} merged into 4; under the impossibility premise a
     decision-4 rejection of H4 carries the H5 rejection with it."""
-    return _merged_decision(Procedure.JONES_TUKEY, t_stat, null, alpha)
+    return _merged_decision(_JONES_TUKEY, t_stat, null, alpha)

@@ -98,14 +98,16 @@ def _number(x: object, name: str) -> float:
 
 
 def _check_finite(x: float, name: str) -> float:
-    x = _number(x, name)
+    if type(x) is not float:  # a float needs no conversion
+        x = _number(x, name)
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
     return x
 
 
 def _check_positive(x: float, name: str) -> float:
-    x = _number(x, name)
+    if type(x) is not float:
+        x = _number(x, name)
     if not 0.0 < x < math.inf:
         raise ValueError(f"{name} must be positive, got {x!r}")
     return x
@@ -165,6 +167,13 @@ class Kind(enum.Enum):
     __hash__ = object.__hash__
 
 
+# Kind's members for the per-call paths.  On Python 3.11 a read through the
+# class, such as Kind.STUDENT_T, takes ~90 ns: EnumType's __getattr__ puts
+# every attribute lookup on the class on CPython's slow hook.
+_STUDENT_T = Kind.STUDENT_T
+_STANDARD_NORMAL = Kind.STANDARD_NORMAL
+
+
 class NullDistribution(_Checked, namedtuple("NullDistribution", "kind df")):
     """Distribution of a test statistic when the parameter sits at the
     tested value.  ``df`` is present exactly when ``kind`` is Student t."""
@@ -193,9 +202,9 @@ def student_t(df: float) -> NullDistribution:
     # cache keyed by it compares by identity.  A df that cannot be hashed
     # meets the constructor, and so _number's message, uncached.
     try:
-        return _interned_t(Kind.STUDENT_T, df)
+        return _interned_t(_STUDENT_T, df)
     except TypeError:
-        return NullDistribution(Kind.STUDENT_T, df)
+        return NullDistribution(_STUDENT_T, df)
 
 
 # The cached constructor.  A numeric df equals and hashes as its float, so
@@ -341,7 +350,7 @@ def _upper_tail(d: NullDistribution, t: float) -> tuple[float, float]:
     # from 1 - x = 1/2, I_x is read from the continued fraction of its Pfaff
     # transform in -x/(1 - x), whose terms are all positive, and the slope
     # is not divided by the tail.
-    if d.kind is Kind.STANDARD_NORMAL:
+    if d.kind is _STANDARD_NORMAL:
         tail = 0.5 * math.erfc(t / _SQRT2)
         return tail, (t * _INV_SQRT_2PI * math.exp(-0.5 * t * t) / tail if tail else math.inf)
     b = 0.5
@@ -413,7 +422,7 @@ def _upper_quantile(d: NullDistribution, p: float) -> float:
     # Newton steps on ln tail against ln x, concave for both nulls: from any
     # positive start every step after the first lands at or above the root.
     target = 1.0 - p
-    if d.kind is Kind.STUDENT_T and d.df >= _CF_MIN_DF:
+    if d.kind is _STUDENT_T and d.df >= _CF_MIN_DF:
         x = _cornish_fisher(d.df, _upper_quantile(_NORMAL, p))
     else:
         x = math.sqrt(-2.0 * math.log(2.0 * target))
@@ -428,7 +437,7 @@ def _upper_quantile(d: NullDistribution, p: float) -> float:
         if abs(step) < _QUAD_STEP:
             # With g(y) = ln tail(e^y), Newton leaves an error of about
             # (1/2) |g''/g'| step^2, and g''/g' = 1 + slope + x f'(x)/f(x).
-            if d.kind is Kind.STUDENT_T:
+            if d.kind is _STUDENT_T:
                 log_f_slope = -(d.df + 1.0) / (1.0 + d.df / x / x)
             else:
                 log_f_slope = -x * x
