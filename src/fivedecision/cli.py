@@ -36,12 +36,6 @@ from .decisions import (
     decision_regions,
 )
 from .distributions import Kind, NullDistribution, _check_positive
-from .stattests import (
-    DegenerateDataError,
-    GroupSummary,
-    two_sample_t,
-    two_sample_t_raw,
-)
 
 __all__ = ["main"]
 
@@ -73,6 +67,8 @@ def _int_or_float(text: str) -> int | float:
 
 
 def _parse_summary(text: str) -> tuple[GroupSummary, GroupSummary]:
+    from .stattests import GroupSummary
+
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 6:
         raise ValueError(
@@ -150,6 +146,8 @@ def _decision_sentence(d: Decision, t0: str) -> str:
 
 
 def cmd_decide(args: argparse.Namespace) -> tuple[dict, list, list]:
+    from .stattests import two_sample_t, two_sample_t_raw
+
     theta0 = args.theta0
     if args.summary is not None:
         first, second = _parse_summary(args.summary)
@@ -595,10 +593,12 @@ def _run(args: argparse.Namespace) -> int:
         # Each cmd_* returns what it prints, rendered below as JSON (the
         # payload), TSV (the rows) or text (the lines).
         payload, rows, lines = args.func(args)
-    except DegenerateDataError as exc:
-        print(f"error: degenerate data: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except (ValueError, ArithmeticError) as exc:
+        from .stattests import DegenerateDataError  # only decide raises one
+
+        if isinstance(exc, DegenerateDataError):
+            print(f"error: degenerate data: {exc}", file=sys.stderr)
+            return EXIT_DEGENERATE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # simulate's report carries its own, later version.

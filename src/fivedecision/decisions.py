@@ -45,7 +45,6 @@ from collections import namedtuple
 
 from .distributions import NullDistribution
 from .distributions import _check_alpha, _check_finite, _check_null, _upper_quantile
-from .stattests import TestResult
 
 __all__ = [
     "Hypothesis",
@@ -92,7 +91,7 @@ def _holds(hypothesis: Hypothesis, effect: float) -> bool:
     """Whether the hypothesis is true at an effect of the sign of
     theta - theta0, such as the standardized one; rejecting it there is
     a wrong rejection."""
-    return hypothesis is not Hypothesis.NONE and _RELATIONS[hypothesis][1](effect, 0.0)
+    return hypothesis is not _NONE and _RELATIONS[hypothesis][1](effect, 0.0)
 
 
 class Decision(namedtuple("Decision", "index rejected accepted_implicitly")):
@@ -215,8 +214,9 @@ _MERGE = {
 }
 
 
-# The members the engines pass on every call, read once (see
-# distributions._STUDENT_T).
+# The members the engines pass on every call, and the one _holds reads on
+# every power_wald call, read once (see distributions._STUDENT_T).
+_NONE = Hypothesis.NONE
 _FIVE_DECISION = Procedure.FIVE_DECISION
 _KAISER = Procedure.KAISER
 _JONES_TUKEY = Procedure.JONES_TUKEY

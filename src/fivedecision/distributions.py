@@ -181,7 +181,7 @@ class NullDistribution(_Checked, namedtuple("NullDistribution", "kind df")):
     __slots__ = ()
 
     def __new__(cls, kind: Kind, df: float | None = None):
-        if kind is Kind.STUDENT_T:
+        if kind is _STUDENT_T:
             if df is not None:
                 df = _number(df, "df")
             if df is None or not 0.0 < df <= _MAX_DF:
@@ -194,7 +194,7 @@ class NullDistribution(_Checked, namedtuple("NullDistribution", "kind df")):
 
 
 def standard_normal() -> NullDistribution:
-    return NullDistribution(Kind.STANDARD_NORMAL)
+    return _NORMAL
 
 
 def student_t(df: float) -> NullDistribution:
@@ -212,7 +212,7 @@ def student_t(df: float) -> NullDistribution:
 _interned_t = functools.lru_cache(maxsize=1024)(NullDistribution)
 
 
-_NORMAL = standard_normal()
+_NORMAL = NullDistribution(_STANDARD_NORMAL)
 
 
 def _check_null(d: object) -> None:
@@ -389,7 +389,7 @@ def density(d: NullDistribution, t: float) -> float:
     """Probability density of ``d`` at ``t``."""
     _check_null(d)
     t = _check_finite(t, "t")
-    if d.kind is Kind.STANDARD_NORMAL:
+    if d.kind is _STANDARD_NORMAL:
         return _INV_SQRT_2PI * math.exp(-0.5 * t * t)
     df = d.df
     _, root, ln_c = _t_constants(df)

@@ -625,6 +625,13 @@ class TestPerDfCaches:
         assert student_t(18) is student_t(18.0) is student_t(np.int64(18))
         assert student_t(18) == NullDistribution(Kind.STUDENT_T, 18.0)
 
+    def test_one_normal_null(self):
+        assert standard_normal() is standard_normal()
+        fresh = NullDistribution(Kind.STANDARD_NORMAL)
+        assert standard_normal() == fresh
+        assert hash(standard_normal()) == hash(fresh)
+        assert repr(standard_normal()) == repr(fresh)
+
     @pytest.mark.parametrize(
         "df, message",
         [

@@ -169,6 +169,37 @@ def test_bare_package_import_loads_no_submodule():
     assert _python("-S", "-c", probe) == "['fivedecision']\n"
 
 
+def test_decisions_loads_only_distributions():
+    probe = (
+        "import sys, fivedecision.decisions; "
+        "print(sorted(m for m in sys.modules if m.startswith('fivedecision.')))"
+    )
+    assert _python("-S", "-c", probe) == (
+        "['fivedecision.decisions', 'fivedecision.distributions']\n"
+    )
+
+
+# The package modules every command loads: cli and what it imports.
+CORE = {"cli", "decisions", "distributions"}
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (DECIDE, CORE | {"stattests"}),
+        (["regions"], CORE),
+        (["power", "--effect", "2.5"], CORE | {"power"}),
+        (["samplesize", "--power", "0.8", "--delta", "0.5", "--tau-sq", "2"], CORE | {"power"}),
+        (["table"], CORE | {"power"}),
+        (["simulate", *SIM_ARGS], CORE | {"simulation"}),
+    ],
+    ids=["decide", "regions", "power", "samplesize", "table", "simulate"],
+)
+def test_each_command_loads_exactly_its_package_modules(argv, modules):
+    loaded = {m for m in _loads(*argv) if m.startswith("fivedecision.")}
+    assert loaded == {f"fivedecision.{m}" for m in modules}
+
+
 def test_decide_loads_only_what_it_runs():
     unused = {"fivedecision.power", "fivedecision.datasets", "json", "csv", "decimal", "typing"}
     assert _loads(*DECIDE) & (unused | SIMULATION_ONLY | DATACLASS_MODULES) == set()
