@@ -25,14 +25,9 @@ CLI prints and the test of whether a hypothesis holds at an effect,
 which the simulation's wrong rejections and the power advisory read.
 All the engines, the nested intervals and the Wald power formulas read
 one set of boundaries, which decision_regions solves once per
-(null, alpha) and caches.  stattests.confidence_interval at levels
-1 - a and 1 - 2a asks for the quantile at 0.5 * (1 + level).  At round
-levels such as 0.1, 0.05, 0.01 and 0.005 that is q_{1-a/2} or q_{1-a}
-to the bit, and quantile keeps each solve per (null, p), so those
-intervals solve nothing more; at other levels (0.003, 0.08, 0.09) one
-of the two points rounds differently and is solved anew, up to about
-1e-12 away.  Significance levels up to 0.5 are accepted; at exactly
-0.5 the no-rejection region collapses to the single point q_{0.5}.
+(null, alpha) and caches.  Significance levels up to 0.5 are accepted;
+at exactly 0.5 the no-rejection region collapses to the single point
+q_{0.5}.
 """
 
 from __future__ import annotations
@@ -160,25 +155,22 @@ class DecisionRegions(namedtuple("DecisionRegions", "alpha boundaries null")):
 def _regions(null: NullDistribution, alpha: float) -> DecisionRegions:
     # Cached: the result is immutable and every engine reads it.  The
     # caller has checked the null and the alpha check keeps 1 - a/2 below
-    # 1, so the upper quantiles are read directly, with quantile's 0 where
-    # 1 - a rounds to 1/2.  The lower two mirror the upper two; 0.0 - q
-    # keeps +0.0 at alpha = 0.5.
+    # 1, so the upper quantiles are read directly.  The lower two mirror
+    # the upper two; 0.0 - q keeps +0.0 at alpha = 0.5.
     alpha = _check_alpha(alpha)
-    p = 1.0 - alpha
-    q3 = _upper_quantile(null, p) if p > 0.5 else 0.0
+    q3 = _upper_quantile(null, 1.0 - alpha)
     q4 = _upper_quantile(null, 1.0 - alpha / 2.0)
     return DecisionRegions(alpha, (0.0 - q4, 0.0 - q3, q3, q4), null)
 
 
 def decision_regions(null: NullDistribution, alpha: float) -> DecisionRegions:
-    # The null is checked before the cache lookup (see _check_null), and a
-    # lookup that cannot hash alpha gets the alpha check's own message.
+    # The null is checked before the cache lookup (see _check_null), and an
+    # alpha the lookup cannot hash meets the alpha check, as student_t's df.
     _check_null(null)
     try:
         return _regions(null, alpha)
     except TypeError:
-        _check_alpha(alpha)
-        raise
+        return _regions(null, _check_alpha(alpha))
 
 
 # The one cache's counters and reset, which count every lookup.
@@ -245,13 +237,7 @@ def _merged_decision(
     procedure: Procedure, t_stat: float, null: NullDistribution, alpha: float
 ) -> Decision:
     t_stat = _check_finite(t_stat, "t_stat")
-    # decision_regions' checks, inlined: the engines run on every request.
-    _check_null(null)
-    try:
-        q1, q2, q3, q4 = _regions(null, alpha).boundaries
-    except TypeError:
-        _check_alpha(alpha)
-        raise
+    q1, q2, q3, q4 = decision_regions(null, alpha).boundaries
     # _TIES_UP written out, as the scalar engines run this on every call.
     index = 1 + (t_stat >= q1) + (t_stat >= q2) + (t_stat > q3) + (t_stat > q4)
     return _DECISIONS[_MERGE[procedure][index] - 1]

@@ -406,8 +406,7 @@ def quantile(d: NullDistribution, p: float) -> float:
     _check_null(d)
     p = _check_probability(p, "p")
     # 1 - p rounds to 1/2 at p = 1/2 and at the float just below it.
-    upper = max(p, 1.0 - p)
-    q = _upper_quantile(d, upper) if upper > 0.5 else 0.0
+    q = _upper_quantile(d, max(p, 1.0 - p))
     return -q if p < 0.5 else q
 
 
@@ -419,6 +418,9 @@ def quantile(d: NullDistribution, p: float) -> float:
 # cached.
 @functools.lru_cache(maxsize=1024)
 def _upper_quantile(d: NullDistribution, p: float) -> float:
+    # The median is 0 for both nulls; a solve there would start at x = 0.
+    if p == 0.5:
+        return 0.0
     # Newton steps on ln tail against ln x, concave for both nulls: from any
     # positive start every step after the first lands at or above the root.
     target = 1.0 - p

@@ -174,15 +174,22 @@ def wald(estimate: float, se: float, theta0: float = 0.0) -> TestResult:
 
 
 def confidence_interval(r: TestResult, level: float) -> tuple[float, float]:
-    """Symmetric two-sided interval estimate +- q*se at the given level."""
+    """Symmetric two-sided interval estimate +- q*se at the given level.
+
+    q is the quantile at 0.5 * (1 + level).  At levels 1 - a and 1 - 2a
+    for round alphas such as 0.1, 0.05, 0.01 and 0.005 that is the
+    decision boundary q_{1-a/2} or q_{1-a} to the bit, and each solve is
+    kept per (null, p), so those intervals solve nothing more; at other
+    alphas (0.003, 0.08, 0.09) one of the two points rounds differently
+    and is solved anew, up to about 1e-12 away.
+    """
     level = _number(level, "level")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
     if 1.0 + level == 2.0:
         raise ValueError(f"level {level!r} is too close to 1: (1 + level)/2 rounds to 1")
     # The level checks keep p in [1/2, 1), so the upper quantile is read
-    # directly, with quantile's 0 at 1/2.
+    # directly.
     _check_null(r.null)
-    p = 0.5 * (1.0 + level)
-    q = _upper_quantile(r.null, p) if p > 0.5 else 0.0
+    q = _upper_quantile(r.null, 0.5 * (1.0 + level))
     return (r.estimate - q * r.se, r.estimate + q * r.se)

@@ -469,6 +469,16 @@ class TestInputsCheckedBeforeTheCaches:
             ALPHA_CALLS[call]([0.05])
         assert str(exc.value) == "alpha must be a number, got [0.05]"
 
+    @pytest.mark.parametrize("call", [*ALPHA_CALLS, "five_decision_via_ci"])
+    def test_zero_dim_array_alpha(self, caches, call):
+        # A 0-d array cannot be hashed; it is read as its float, as the
+        # quantile, interval and planning checks read it.
+        calls = {
+            **ALPHA_CALLS,
+            "five_decision_via_ci": lambda alpha: five_decision_via_ci(CHICK, 0.0, alpha),
+        }
+        assert calls[call](np.array(0.05)) == calls[call](0.05)
+
     def test_the_cache_counts_every_lookup(self):
         # The traced benchmark reads decision_regions.cache_info() to
         # tag each call cold or warm, and clears the cache before a run.

@@ -483,6 +483,14 @@ class TestConfidenceInterval:
             confidence_interval(r, 0.9999999999999999)
         assert confidence_interval(r, 0.9999999999999998)[1] > 9.0
 
+    @pytest.mark.parametrize(
+        "r", [wald(1.25, 0.5), two_sample_t(DIET3, DIET2)], ids=["wald", "t18"]
+    )
+    def test_level_whose_quantile_rounds_to_one_half(self, r):
+        # (1 + level)/2 rounds to 1/2, where the quantile is 0: the
+        # interval is the point estimate, where a solve would not converge.
+        assert confidence_interval(r, 1e-300) == (r.estimate, r.estimate)
+
 
 class TestInvariants:
     def test_result_internal_consistency(self):
