@@ -86,11 +86,10 @@ def _parse_summary(text: str) -> tuple[GroupSummary, GroupSummary]:
         raise ValueError(f"--summary describes an invalid group: {exc}") from exc
 
 
-def _parse_csv(path: str) -> tuple[list[str], dict[str, list[float]]]:
+def _parse_csv(path: str) -> dict[str, list[float]]:
     """Groups in order of first appearance from a group,value file."""
     import csv
 
-    labels: list[str] = []
     groups: dict[str, list[float]] = {}
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
@@ -124,15 +123,12 @@ def _parse_csv(path: str) -> tuple[list[str], dict[str, list[float]]]:
                 ) from None
             if not math.isfinite(value):
                 raise ValueError(f"{path}: line {line_no}: non-finite value")
-            if label not in groups:
-                labels.append(label)
-                groups[label] = []
-            groups[label].append(value)
-    if len(labels) != 2:
+            groups.setdefault(label, []).append(value)
+    if len(groups) != 2:
         raise ValueError(
-            f"{path}: expected exactly 2 distinct groups, found {len(labels)}"
+            f"{path}: expected exactly 2 distinct groups, found {len(groups)}"
         )
-    return labels, groups
+    return groups
 
 
 def _decision_sentence(d: Decision, t0: str) -> str:
@@ -155,16 +151,16 @@ def cmd_decide(args: argparse.Namespace) -> tuple[dict, list, list]:
         first_label, second_label = "group 1", "group 2"
         source = {"summary": args.summary}
     else:
-        labels, groups = _parse_csv(args.csv)
-        first_label, second_label = labels
+        groups = _parse_csv(args.csv)
+        first_label, second_label = groups
         result = two_sample_t_raw(groups[second_label], groups[first_label], theta0)
         source = {"csv": args.csv}
 
     alpha = args.alpha
     wide_level = 1.0 - alpha
     narrow_level = 1.0 - 2.0 * alpha
-    regions = decision_regions(result.null, alpha)
-    ci_wide, ci_narrow = regions.nested_intervals(result.estimate, result.se)
+    _, _, q3, q4 = decision_regions(result.null, alpha).boundaries
+    ci_wide, ci_narrow = result.interval(q4), result.interval(q3)
 
     p = args.precision
     direction = f"{second_label} minus {first_label}"

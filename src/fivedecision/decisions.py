@@ -23,11 +23,12 @@ Jones-Tukey verdict rejects are read off it here.  One table states
 what each hypothesis asserts about theta - theta0: the comparator the
 CLI prints and the test of whether a hypothesis holds at an effect,
 which the simulation's wrong rejections and the power advisory read.
-All the engines, the nested intervals and the Wald power formulas read
-one set of boundaries, which decision_regions solves once per
-(null, alpha) and caches.  Significance levels up to 0.5 are accepted;
-at exactly 0.5 the no-rejection region collapses to the single point
-q_{0.5}.
+All the engines and the Wald power formulas read one set of
+boundaries, which decision_regions solves once per (null, alpha) and
+caches; the nested intervals are the test inverted at two of them,
+TestResult.interval at q4 and q3.  Significance levels up to 0.5 are
+accepted; at exactly 0.5 the no-rejection region collapses to the
+single point q_{0.5}.
 """
 
 from __future__ import annotations
@@ -143,12 +144,6 @@ class DecisionRegions(namedtuple("DecisionRegions", "alpha boundaries null")):
             )
             for i, d in enumerate(_DECISIONS)
         ]
-
-    def nested_intervals(self, estimate: float, se: float) -> tuple[tuple, tuple]:
-        """The (1-alpha) and (1-2*alpha) intervals, estimate -+ q*se."""
-        _, _, q3, q4 = self.boundaries
-        wide = (estimate - q4 * se, estimate + q4 * se)
-        return wide, (estimate - q3 * se, estimate + q3 * se)
 
 
 @functools.lru_cache(maxsize=512)
@@ -282,7 +277,8 @@ def five_decision_via_ci(r: TestResult, theta0: float, alpha: float) -> Decision
     estimate.  Larger statistics push theta0 below the intervals, so
     the ladder runs from decision 5 upward.
     """
-    wide, narrow = decision_regions(r.null, alpha).nested_intervals(r.estimate, r.se)
+    _, _, q3, q4 = decision_regions(r.null, alpha).boundaries
+    wide, narrow = r.interval(q4), r.interval(q3)
     theta0 = _check_finite(theta0, "theta0")
     if theta0 < wide[0]:
         return Decision.from_index(5)

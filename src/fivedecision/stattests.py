@@ -60,6 +60,11 @@ class TestResult(namedtuple("TestResult", "t_stat null p_two_sided estimate se")
     __slots__ = ()
     __test__ = False  # not a pytest test class despite the name
 
+    def interval(self, q: float) -> tuple[float, float]:
+        """The theta0 at which the statistic equals q and -q: the test
+        inverted at quantile q, estimate -+ q*se."""
+        return (self.estimate - q * self.se, self.estimate + q * self.se)
+
 
 def _result(estimate: float, se: float, theta0: float, null: NullDistribution) -> TestResult:
     t_stat = (estimate - theta0) / se
@@ -174,7 +179,7 @@ def wald(estimate: float, se: float, theta0: float = 0.0) -> TestResult:
 
 
 def confidence_interval(r: TestResult, level: float) -> tuple[float, float]:
-    """Symmetric two-sided interval estimate +- q*se at the given level.
+    """Symmetric two-sided interval at the given level: r.interval(q).
 
     q is the quantile at 0.5 * (1 + level).  At levels 1 - a and 1 - 2a
     for round alphas such as 0.1, 0.05, 0.01 and 0.005 that is the
@@ -192,4 +197,4 @@ def confidence_interval(r: TestResult, level: float) -> tuple[float, float]:
     # directly.
     _check_null(r.null)
     q = _upper_quantile(r.null, 0.5 * (1.0 + level))
-    return (r.estimate - q * r.se, r.estimate + q * r.se)
+    return r.interval(q)

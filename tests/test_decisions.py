@@ -496,13 +496,14 @@ class TestInputsCheckedBeforeTheCaches:
 class TestNestedIntervals:
     @pytest.mark.parametrize("alpha", [0.10, 0.05, 0.01, 0.005])
     def test_equal_confidence_interval_at_round_levels(self, alpha):
-        wide, narrow = decision_regions(CHICK.null, alpha).nested_intervals(
-            CHICK.estimate, CHICK.se
-        )
+        _, _, q3, q4 = decision_regions(CHICK.null, alpha).boundaries
+        wide, narrow = CHICK.interval(q4), CHICK.interval(q3)
         assert wide == confidence_interval(CHICK, 1.0 - alpha)
         assert narrow == confidence_interval(CHICK, 1.0 - 2.0 * alpha)
 
     def test_narrow_interval_is_the_estimate_at_half(self):
-        wide, narrow = decision_regions(T18, 0.5).nested_intervals(1.25, 2.0)
+        r = wald(1.25, 2.0)._replace(null=T18)
+        _, _, q3, q4 = decision_regions(T18, 0.5).boundaries
+        wide, narrow = r.interval(q4), r.interval(q3)
         assert narrow == (1.25, 1.25)
         assert wide[0] < 1.25 < wide[1]

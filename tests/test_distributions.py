@@ -614,7 +614,8 @@ class TestQuantileCache:
             wide = confidence_interval(r, 1.0 - alpha)
             narrow = confidence_interval(r, 1.0 - 2.0 * alpha)
             assert calls == []
-            assert (wide, narrow) == regions.nested_intervals(r.estimate, r.se)
+            _, _, q3, q4 = regions.boundaries
+            assert (wide, narrow) == (r.interval(q4), r.interval(q3))
 
 
 class TestPerDfCaches:

@@ -9,6 +9,7 @@ Each check runs in a fresh interpreter, because the test modules load
 numpy themselves.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -177,6 +178,14 @@ def test_decisions_loads_only_distributions():
     assert _python("-S", "-c", probe) == (
         "['fivedecision.decisions', 'fivedecision.distributions']\n"
     )
+
+
+def test_decisions_reads_no_estimate_or_se():
+    # The engines read only statistics and boundaries: each interval is
+    # TestResult.interval, the test inverted in the module that defines it.
+    tree = ast.parse((Path(SRC) / "fivedecision" / "decisions.py").read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert read & {"estimate", "se"} == set()
 
 
 # The package modules every command loads: cli and what it imports.

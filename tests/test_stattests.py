@@ -484,12 +484,22 @@ class TestConfidenceInterval:
         assert confidence_interval(r, 0.9999999999999998)[1] > 9.0
 
     @pytest.mark.parametrize(
-        "r", [wald(1.25, 0.5), two_sample_t(DIET3, DIET2)], ids=["wald", "t18"]
+        "r, signs",
+        [
+            (wald(1.25, 0.5), (1.0, 1.0)),
+            (two_sample_t(DIET3, DIET2), (1.0, 1.0)),
+            (wald(-0.0, 1.0), (-1.0, 1.0)),
+        ],
+        ids=["wald", "t18", "wald-negative-zero"],
     )
-    def test_level_whose_quantile_rounds_to_one_half(self, r):
+    def test_level_whose_quantile_rounds_to_one_half(self, r, signs):
         # (1 + level)/2 rounds to 1/2, where the quantile is 0: the
         # interval is the point estimate, where a solve would not converge.
-        assert confidence_interval(r, 1e-300) == (r.estimate, r.estimate)
+        # Its ends are estimate - 0*se and estimate + 0*se, so an estimate
+        # of -0.0 gives (-0.0, +0.0); == cannot see the sign of a zero.
+        ends = confidence_interval(r, 1e-300)
+        assert ends == (r.estimate, r.estimate)
+        assert tuple(math.copysign(1.0, end) for end in ends) == signs
 
 
 class TestInvariants:
